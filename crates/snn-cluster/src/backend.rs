@@ -2,34 +2,28 @@
 //! for shards the cluster spawned itself — the owned in-process
 //! [`SnnServer`].
 //!
-//! The relay channel is negotiated at attach time: a shard that speaks
-//! proto 2 gets **one** shared multiplexed connection
+//! The router reaches a shard in exactly two ways. The data plane —
+//! session traffic, checkpoint blobs, shadow pushes and migrations —
+//! rides **one** shared multiplexed proto 2 connection
 //! ([`snn_serve::MuxClient`]) over which every router thread interleaves
-//! session traffic, checkpoint blobs, shadow pushes and migrations; a
-//! proto-1-only shard falls back to the classic small connection pool.
-//! Either way every connection performs the `hello proto=…` handshake,
-//! so a backend speaking an unknown protocol generation is refused at
-//! attach time ([`ClusterError::ProtoMismatch`]), never silently
-//! misparsed.
+//! its requests. Everything else — health probes and the cluster-wide
+//! fan-out scrapes — is one deadline-bounded round trip on a dedicated
+//! socket ([`Backend::call_with_deadline`]). The relay connection
+//! performs the `hello proto=2` handshake, so a shard that does not speak
+//! proto 2 is refused at attach time ([`ClusterError::ProtoMismatch`]),
+//! never silently misparsed.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use snn_serve::frame::line_payload_len;
-use snn_serve::{
-    ClientError, MuxClient, ServeClient, ServerConfig, SnnServer, PROTO_V2, PROTO_VERSION,
-};
+use snn_serve::{ClientError, MuxClient, ServeClient, ServerConfig, SnnServer, PROTO_V2};
 
 use crate::obs::WireObs;
 use crate::ring::ShardId;
 use crate::ClusterError;
-
-/// How many idle proto-1 connections a shard keeps warm. More concurrent
-/// router connections simply open (and later drop) extras.
-const POOL_KEEP: usize = 8;
 
 /// Health probes get their own short deadline: a probe exists to answer
 /// "is this shard responsive?", so it must never block the health thread
@@ -41,17 +35,10 @@ pub(crate) struct Backend {
     pub(crate) id: ShardId,
     pub(crate) addr: SocketAddr,
     alive: AtomicBool,
-    pool: Mutex<Vec<ServeClient>>,
-    /// Negotiated router↔shard protocol generation, settled by the
-    /// attach-time probe ([`PROTO_V2`] preferred, [`PROTO_VERSION`] on
-    /// `proto-mismatch` fallback).
-    proto: AtomicU32,
-    /// Highest protocol generation to offer the shard (a knob so mixed
-    /// clusters and A/B byte-count comparisons can pin proto 1).
-    max_proto: u32,
-    /// The shared multiplexed relay connection (proto 2 shards only).
+    /// The shared multiplexed relay connection (`None` from a failure
+    /// until the next call reconnects, and once the shard is dead).
     mux: Mutex<Option<Arc<MuxClient>>>,
-    /// Shard-facing byte counters, bucketed by negotiated protocol.
+    /// Shard-facing byte counters (`cluster.relay.p2.*`).
     wire: WireObs,
     /// Bound on every data-plane read/write to this shard (`None`
     /// blocks forever). Keeps a stalled shard from hanging router
@@ -72,25 +59,10 @@ impl Backend {
         id: ShardId,
         config: ServerConfig,
         io_timeout: Option<Duration>,
-        max_proto: u32,
         wire: WireObs,
     ) -> Result<Backend, ClusterError> {
         let server = SnnServer::start("127.0.0.1:0", config).map_err(ClusterError::Io)?;
-        let backend = Backend {
-            id,
-            addr: server.local_addr(),
-            alive: AtomicBool::new(true),
-            pool: Mutex::new(Vec::new()),
-            proto: AtomicU32::new(PROTO_VERSION),
-            max_proto,
-            mux: Mutex::new(None),
-            wire,
-            io_timeout,
-            supports_evict: AtomicBool::new(false),
-            server: Mutex::new(Some(server)),
-        };
-        backend.probe()?;
-        Ok(backend)
+        Backend::new(id, server.local_addr(), Some(server), io_timeout, wire)
     }
 
     /// Attaches to an already-running shard, verifying the protocol
@@ -99,71 +71,45 @@ impl Backend {
         id: ShardId,
         addr: SocketAddr,
         io_timeout: Option<Duration>,
-        max_proto: u32,
+        wire: WireObs,
+    ) -> Result<Backend, ClusterError> {
+        Backend::new(id, addr, None, io_timeout, wire)
+    }
+
+    /// Opens the relay connection (refusing shards that do not speak
+    /// proto 2) and reads the shard's capabilities off its banner once
+    /// more — the connect handshake discards its fields.
+    fn new(
+        id: ShardId,
+        addr: SocketAddr,
+        server: Option<SnnServer>,
+        io_timeout: Option<Duration>,
         wire: WireObs,
     ) -> Result<Backend, ClusterError> {
         let backend = Backend {
             id,
             addr,
             alive: AtomicBool::new(true),
-            pool: Mutex::new(Vec::new()),
-            proto: AtomicU32::new(PROTO_VERSION),
-            max_proto,
             mux: Mutex::new(None),
             wire,
             io_timeout,
             supports_evict: AtomicBool::new(false),
-            server: Mutex::new(None),
+            server: Mutex::new(server),
         };
-        backend.probe()?;
-        Ok(backend)
-    }
-
-    /// Attach-time negotiation: offer the newest protocol first and
-    /// remember what the shard actually speaks.
-    fn probe(&self) -> Result<(), ClusterError> {
-        if self.max_proto >= PROTO_V2 {
-            match self.connect_proto2() {
-                Ok(mut client) => {
-                    self.proto.store(PROTO_V2, Ordering::SeqCst);
-                    self.learn_caps(&mut client, PROTO_V2);
-                    if let Some(mux) = client.mux() {
-                        *self.mux.lock().expect("backend mux poisoned") = Some(mux);
-                    }
-                    return Ok(());
-                }
-                // A proto-1-only shard is a supported peer, not an
-                // error: fall through to the classic pool.
-                Err(ClusterError::ProtoMismatch { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.proto.store(PROTO_VERSION, Ordering::SeqCst);
-        let mut client = self.connect()?;
-        self.learn_caps(&mut client, PROTO_VERSION);
-        self.give_back(client);
-        Ok(())
-    }
-
-    /// Reads the versioned banner once more to learn the shard's
-    /// capabilities (connect's own handshake discards the fields).
-    fn learn_caps(&self, client: &mut ServeClient, proto: u32) {
-        if let Ok(banner) = client.call_raw(&format!("hello proto={proto}")) {
+        let (mux, _) = backend.mux_handle()?;
+        if let Ok(banner) = mux.call_line(&format!("hello proto={PROTO_V2}")) {
             if let Ok(resp) = snn_serve::protocol::parse_response(&banner) {
-                self.supports_evict
+                backend
+                    .supports_evict
                     .store(resp.get("evict") == Some("1"), Ordering::SeqCst);
             }
         }
+        Ok(backend)
     }
 
     /// Whether the shard advertised eviction support at attach time.
     pub(crate) fn supports_evict(&self) -> bool {
         self.supports_evict.load(Ordering::SeqCst)
-    }
-
-    /// The negotiated router↔shard protocol generation.
-    pub(crate) fn proto(&self) -> u32 {
-        self.proto.load(Ordering::SeqCst)
     }
 
     fn lift(&self, attempt: Result<ServeClient, ClientError>) -> Result<ServeClient, ClusterError> {
@@ -183,123 +129,42 @@ impl Backend {
         }
     }
 
-    fn connect(&self) -> Result<ServeClient, ClusterError> {
-        self.lift(match self.io_timeout {
-            Some(timeout) => ServeClient::connect_with_timeout(self.addr, timeout),
-            None => ServeClient::connect(self.addr),
-        })
-    }
-
-    fn connect_proto2(&self) -> Result<ServeClient, ClusterError> {
-        self.lift(match self.io_timeout {
-            Some(timeout) => ServeClient::connect_with_proto_timeout(self.addr, PROTO_V2, timeout),
-            None => ServeClient::connect_with_proto(self.addr, PROTO_V2),
-        })
-    }
-
     pub(crate) fn is_alive(&self) -> bool {
         self.alive.load(Ordering::SeqCst)
     }
 
-    /// Flags the shard dead and drops its pooled connections. Requests
+    /// Flags the shard dead and drops its relay connection. Requests
     /// routed here now fail fast with [`ClusterError::ShardDown`].
     pub(crate) fn mark_dead(&self) {
         self.alive.store(false, Ordering::SeqCst);
-        self.pool.lock().expect("backend pool poisoned").clear();
         *self.mux.lock().expect("backend mux poisoned") = None;
     }
 
-    /// Takes a connection (pooled or fresh). The boolean is `true` when
-    /// the connection came from the pool and may therefore be stale.
-    pub(crate) fn checkout(&self) -> Result<(ServeClient, bool), ClusterError> {
-        if !self.is_alive() {
-            return Err(ClusterError::ShardDown(self.id));
-        }
-        if let Some(client) = self.pool.lock().expect("backend pool poisoned").pop() {
-            return Ok((client, true));
-        }
-        Ok((self.connect()?, false))
-    }
-
-    /// Returns a connection to the pool (dropped beyond the keep bound or
-    /// once the shard is dead).
-    pub(crate) fn give_back(&self, client: ServeClient) {
-        if self.is_alive() {
-            let mut pool = self.pool.lock().expect("backend pool poisoned");
-            if pool.len() < POOL_KEEP {
-                pool.push(client);
-            }
-        }
-    }
-
-    /// Forwards one raw request line and returns the raw response line.
-    /// With `idempotent`, a failure on a *pooled* connection (which may
-    /// simply have gone stale) is retried once on a fresh connection.
-    /// Non-idempotent lines (`ingest`, `open`, `swap`, …) are **never**
-    /// resent: a connection that died after the shard applied the
-    /// request would make a blind retry apply it twice, silently forking
-    /// the session's state — the caller surfaces the error and lets the
-    /// client decide.
+    /// Forwards one raw request line over the shared relay connection and
+    /// returns the raw response line. With `idempotent`, a failure on a
+    /// *reused* connection (which may have gone stale between calls) is
+    /// retried once on a fresh one. Non-idempotent lines (`ingest`,
+    /// `open`, `swap`, …) are **never** resent: a connection that died
+    /// after the shard applied the request would make a blind retry apply
+    /// it twice, silently forking the session's state — the caller
+    /// surfaces the error and lets the client decide.
     pub(crate) fn call_raw(&self, line: &str, idempotent: bool) -> Result<String, ClusterError> {
-        if self.proto() >= PROTO_V2 {
-            return self.call_raw_mux(line, idempotent);
-        }
-        loop {
-            let (mut client, pooled) = self.checkout()?;
-            match client.call_raw(line) {
-                Ok(reply) => {
-                    let trimmed = line.trim_end_matches('\n');
-                    self.wire.count(
-                        PROTO_VERSION,
-                        reply.len() as u64 + 1,
-                        trimmed.len() as u64 + 1,
-                    );
-                    // Proto 1 moves payloads as hex text: count the hex
-                    // characters that actually crossed the wire.
-                    self.wire.count_payload(
-                        PROTO_VERSION,
-                        line_payload_len(trimmed) + line_payload_len(&reply),
-                    );
-                    self.give_back(client);
-                    return Ok(reply);
-                }
-                Err(_) if pooled && idempotent => continue,
-                Err(e) => {
-                    return Err(ClusterError::Backend {
-                        shard: self.id,
-                        detail: e.to_string(),
-                    })
-                }
-            }
-        }
-    }
-
-    /// [`Backend::call_raw`] over the shared multiplexed connection. The
-    /// retry rule mirrors the pool path exactly: a failure on a *reused*
-    /// connection (which may have gone stale between calls) is retried
-    /// once on a fresh one, and only for idempotent lines.
-    fn call_raw_mux(&self, line: &str, idempotent: bool) -> Result<String, ClusterError> {
+        let line = line.trim_end_matches('\n');
         let mut retried = false;
         loop {
             let (mux, fresh) = self.mux_handle()?;
-            match mux.call_line_counted(line.trim_end_matches('\n')) {
+            match mux.call_line_counted(line) {
                 Ok((reply, tx, rx)) => {
-                    self.wire.count(PROTO_V2, rx, tx);
-                    // The reconstructed lines carry the payloads re-hexed;
-                    // the frames moved half that, as raw bytes.
-                    self.wire.count_payload(
-                        PROTO_V2,
-                        (line_payload_len(line.trim_end_matches('\n')) + line_payload_len(&reply))
-                            / 2,
-                    );
+                    self.wire.count(rx, tx);
+                    self.wire.count_payload(line, &reply);
                     return Ok(reply);
                 }
                 Err(_) if !fresh && idempotent && !retried => {
                     retried = true;
-                    // Like a stale pooled connection, a reused channel is
-                    // not trusted after a failure: drop the shared handle
-                    // (in-flight callers holding their own `Arc` finish
-                    // undisturbed; the socket closes with the last clone).
+                    // A reused channel is not trusted after a failure:
+                    // drop the shared handle (in-flight callers holding
+                    // their own `Arc` finish undisturbed; the socket
+                    // closes with the last clone).
                     self.clear_mux(&mux);
                     continue;
                 }
@@ -330,10 +195,13 @@ impl Backend {
             }
             *guard = None;
         }
-        let client = self.connect_proto2()?;
+        let client = self.lift(match self.io_timeout {
+            Some(timeout) => ServeClient::connect_with_proto_timeout(self.addr, PROTO_V2, timeout),
+            None => ServeClient::connect_with_proto(self.addr, PROTO_V2),
+        })?;
         let mux = client.mux().ok_or_else(|| ClusterError::Backend {
             shard: self.id,
-            detail: "proto 2 negotiation lost on reconnect".to_string(),
+            detail: "proto 2 negotiated without a multiplexed transport".to_string(),
         })?;
         *guard = Some(Arc::clone(&mux));
         Ok((mux, true))
@@ -350,11 +218,10 @@ impl Backend {
 
     /// One request/reply round trip on a dedicated connection with
     /// `deadline` bounding connect, write and read separately — the
-    /// fan-out scrape path (`stats`, `metrics`), where a slow shard must
-    /// cost its caller at most the deadline, never the data-plane
-    /// `io_timeout`. Like [`Backend::ping`] it skips the `hello`
-    /// handshake (the server answers any verb without one) and returns
-    /// `None` on any transport failure.
+    /// health probe and the router's fan-out scrapes, where a slow shard
+    /// must cost its caller at most the deadline, never the data-plane
+    /// `io_timeout`. It skips the `hello` handshake (the server answers
+    /// any verb without one) and returns `None` on any transport failure.
     pub(crate) fn call_with_deadline(&self, line: &str, deadline: Duration) -> Option<String> {
         let mut stream = TcpStream::connect_timeout(&self.addr, deadline).ok()?;
         stream.set_read_timeout(Some(deadline)).ok()?;
@@ -369,25 +236,12 @@ impl Backend {
         }
     }
 
-    /// Health probe: one `ping` round trip on a dedicated connection
-    /// with a short deadline on connect, write and read, so a
-    /// stalled-but-connected shard reads as unhealthy instead of
-    /// hanging the health thread (and with it all failure detection).
+    /// Health probe: one `ping` round trip under a short deadline, so a
+    /// stalled-but-connected shard reads as unhealthy instead of hanging
+    /// the health thread (and with it all failure detection).
     pub(crate) fn ping(&self) -> bool {
-        let Ok(mut stream) = TcpStream::connect_timeout(&self.addr, PROBE_TIMEOUT) else {
-            return false;
-        };
-        if stream.set_read_timeout(Some(PROBE_TIMEOUT)).is_err()
-            || stream.set_write_timeout(Some(PROBE_TIMEOUT)).is_err()
-            || stream.write_all(b"ping\n").is_err()
-        {
-            return false;
-        }
-        let mut reply = String::new();
-        match BufReader::new(stream).read_line(&mut reply) {
-            Ok(n) if n > 0 => reply.starts_with("ok"),
-            _ => false,
-        }
+        self.call_with_deadline("ping", PROBE_TIMEOUT)
+            .is_some_and(|reply| reply.starts_with("ok"))
     }
 
     /// Stops an owned in-process server (no-op for attached shards) and

@@ -15,6 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use snn_obs::{Counter, Gauge, Histogram, Registry};
+use snn_serve::frame::line_payload_len;
+use snn_serve::{PROTO_V2, PROTO_VERSION};
 
 /// Process-wide instance sequence: each router gets a distinct rid
 /// prefix (`c0`, `c1`, …), disjoint from the `s<n>` prefixes shards
@@ -100,60 +102,61 @@ pub(crate) struct ClusterObs {
     /// (`cluster.subscribe.drops.sub<N>`), so one slow consumer is
     /// attributable instead of anonymous in the aggregate.
     sub_seq: AtomicU64,
-    /// `cluster.wire.p{1,2}.rx_bytes` / `.tx_bytes` — client-facing
-    /// bytes on the wire per protocol generation (proto 1 counts line
-    /// bytes, proto 2 counts whole frames).
-    pub(crate) wire: WireObs,
-    /// `cluster.relay.p{1,2}.rx_bytes` / `.tx_bytes` — shard-facing
-    /// bytes moved by the relay path, per negotiated backend protocol.
-    /// This pair is what the proto 2 rollout's payload-reduction claim
-    /// is measured on.
+    /// `cluster.wire.p1.{rx,tx,payload}_bytes` — client-facing bytes on
+    /// the wire over proto 1 connections (line bytes).
+    pub(crate) wire_p1: WireObs,
+    /// `cluster.wire.p2.{rx,tx,payload}_bytes` — client-facing bytes on
+    /// the wire over proto 2 connections (whole frames). Both client
+    /// families see the same requests, so comparing their payload
+    /// counters on one workload is the framing's payload-reduction
+    /// measurement.
+    pub(crate) wire_p2: WireObs,
+    /// `cluster.relay.p2.{rx,tx,payload}_bytes` — shard-facing bytes
+    /// moved by the relay path (always proto 2).
     pub(crate) relay_wire: WireObs,
 }
 
-/// Shared handles for one per-protocol byte-counter pair, cloned into
-/// every [`crate::backend::Backend`] so the relay path can count bytes
-/// where they actually move.
+/// One protocol generation's byte counters under one prefix
+/// (`<prefix>.p<N>.{rx,tx,payload}_bytes`), cloned into every
+/// [`crate::backend::Backend`] so the relay path can count bytes where
+/// they actually move.
 #[derive(Debug, Clone)]
 pub(crate) struct WireObs {
-    rx: [Arc<Counter>; 2],
-    tx: [Arc<Counter>; 2],
-    /// `<prefix>.p{1,2}.payload_bytes` — bytes the `data=` payloads
-    /// themselves occupied on the wire (hex characters under proto 1,
-    /// raw bytes under proto 2). Only the relay family tracks this; it
-    /// is the denominator-free form of the framing rollout's "proto 2
-    /// moves ≥2× fewer payload bytes" claim.
-    payload: Option<[Arc<Counter>; 2]>,
+    proto: u32,
+    rx: Arc<Counter>,
+    tx: Arc<Counter>,
+    /// `.payload_bytes` — bytes the `data=` payloads themselves occupied
+    /// on the wire: hex characters under proto 1, raw bytes under proto 2.
+    /// This is the denominator-free form of the framing's "proto 2 moves
+    /// ≥2× fewer payload bytes" claim.
+    payload: Arc<Counter>,
 }
 
 impl WireObs {
-    /// Pre-creates `<prefix>.p{1,2}.rx_bytes` / `.tx_bytes`, plus
-    /// `.payload_bytes` when the caller tracks payload economics.
-    fn new(registry: &Registry, prefix: &str, with_payload: bool) -> Self {
+    /// Pre-creates `<prefix>.p<proto>.{rx,tx,payload}_bytes`.
+    fn new(registry: &Registry, prefix: &str, proto: u32) -> Self {
+        let counter = |what: &str| registry.counter(&format!("{prefix}.p{proto}.{what}_bytes"));
         WireObs {
-            rx: [1u32, 2].map(|p| registry.counter(&format!("{prefix}.p{p}.rx_bytes"))),
-            tx: [1u32, 2].map(|p| registry.counter(&format!("{prefix}.p{p}.tx_bytes"))),
-            payload: with_payload.then(|| {
-                [1u32, 2].map(|p| registry.counter(&format!("{prefix}.p{p}.payload_bytes")))
-            }),
+            proto,
+            rx: counter("rx"),
+            tx: counter("tx"),
+            payload: counter("payload"),
         }
     }
 
-    /// Counts one exchange's bytes under its protocol generation
-    /// (everything at or above proto 2 shares the binary-framing
-    /// bucket).
-    pub(crate) fn count(&self, proto: u32, rx_bytes: u64, tx_bytes: u64) {
-        let i = usize::from(proto >= 2);
-        self.rx[i].add(rx_bytes);
-        self.tx[i].add(tx_bytes);
+    /// Counts one exchange's whole lines or frames.
+    pub(crate) fn count(&self, rx_bytes: u64, tx_bytes: u64) {
+        self.rx.add(rx_bytes);
+        self.tx.add(tx_bytes);
     }
 
-    /// Counts one exchange's payload-on-the-wire bytes (no-op for
-    /// families created without payload tracking).
-    pub(crate) fn count_payload(&self, proto: u32, payload_bytes: u64) {
-        if let Some(payload) = &self.payload {
-            payload[usize::from(proto >= 2)].add(payload_bytes);
-        }
+    /// Counts the `data=` payloads of one request/reply pair as they
+    /// crossed the wire: the hex characters of both lines under proto 1,
+    /// half that — the raw bytes a frame carries — under proto 2.
+    pub(crate) fn count_payload(&self, line: &str, reply: &str) {
+        let hex = line_payload_len(line) + line_payload_len(reply);
+        self.payload
+            .add(if self.proto >= PROTO_V2 { hex / 2 } else { hex });
     }
 }
 
@@ -189,8 +192,9 @@ impl ClusterObs {
             tags_in_flight: registry.gauge("cluster.wire.p2.tags_in_flight"),
             writer_queue: registry.gauge("cluster.wire.p2.writer_queue"),
             sub_seq: AtomicU64::new(0),
-            wire: WireObs::new(&registry, "cluster.wire", false),
-            relay_wire: WireObs::new(&registry, "cluster.relay", true),
+            wire_p1: WireObs::new(&registry, "cluster.wire", PROTO_VERSION),
+            wire_p2: WireObs::new(&registry, "cluster.wire", PROTO_V2),
+            relay_wire: WireObs::new(&registry, "cluster.relay", PROTO_V2),
             registry,
         }
     }
@@ -245,17 +249,24 @@ mod tests {
             "cluster.failover_fail",
             "cluster.wire.p1.rx_bytes",
             "cluster.wire.p1.tx_bytes",
+            "cluster.wire.p1.payload_bytes",
             "cluster.wire.p2.rx_bytes",
             "cluster.wire.p2.tx_bytes",
-            "cluster.relay.p1.rx_bytes",
-            "cluster.relay.p1.tx_bytes",
+            "cluster.wire.p2.payload_bytes",
             "cluster.relay.p2.rx_bytes",
             "cluster.relay.p2.tx_bytes",
-            "cluster.relay.p1.payload_bytes",
             "cluster.relay.p2.payload_bytes",
         ] {
             assert!(snap.counters.contains_key(name), "missing {name}");
         }
+        // The relay is proto 2 only: no always-zero proto 1 family.
+        assert!(
+            !snap
+                .counters
+                .keys()
+                .any(|k| k.starts_with("cluster.relay.p1.")),
+            "relay proto 1 counters must not exist"
+        );
         for name in [
             "cluster.relay_us",
             "cluster.migrate_us",

@@ -77,19 +77,17 @@ pub struct ClusterLimits {
     /// forever). Health probes use their own short deadline regardless,
     /// so a stalled shard can never freeze failure detection.
     pub io_timeout: Option<Duration>,
-    /// Per-shard deadline on the `stats`/`metrics` fan-out scrapes
-    /// (`cluster-stats`, `cluster-metrics`). Scrapes run one thread per
-    /// shard, so one stalled shard costs a scrape at most this long —
-    /// never the much larger data-plane `io_timeout`.
+    /// Per-shard deadline on the cluster-wide fan-out scrapes
+    /// (`stats`/`cluster-stats`, `cluster-metrics` and `subscribe`
+    /// pushes, `cluster-journal`, `cluster-trace`). Every scrape runs one
+    /// thread per shard, so any number of stalled shards cost a scrape at
+    /// most this long — never the much larger data-plane `io_timeout`.
     pub scrape_timeout: Duration,
     /// Highest protocol generation the router accepts from clients
     /// ([`PROTO_V2`] by default; pin to [`PROTO_VERSION`] to refuse the
-    /// binary-framing upgrade at the front door).
+    /// binary-framing upgrade at the front door). The router always
+    /// speaks proto 2 to its shards.
     pub max_proto: u32,
-    /// Highest protocol generation the router offers shards. Each shard
-    /// negotiates independently at attach time and falls back to
-    /// proto 1 on `proto-mismatch`, so a mixed cluster keeps serving.
-    pub backend_max_proto: u32,
 }
 
 impl Default for ClusterLimits {
@@ -103,7 +101,6 @@ impl Default for ClusterLimits {
             io_timeout: Some(Duration::from_secs(30)),
             scrape_timeout: Duration::from_secs(2),
             max_proto: PROTO_V2,
-            backend_max_proto: PROTO_V2,
         }
     }
 }
@@ -188,6 +185,23 @@ struct Route {
     /// `replay_gap=` on the session's next relayed ok reply, then
     /// cleared — the loss is reported to the client, never silent.
     replay_gap: Option<u64>,
+}
+
+impl Route {
+    /// Re-points the route at `to` after a live move onto it (migration,
+    /// rebalance or failover). Restoring the live session on `to` dropped
+    /// any shadow parked there, so it is forgotten before a failover can
+    /// trust it; and a budget `to` cannot enforce (no evict directory) is
+    /// dropped rather than silently voided on every ingest.
+    fn moved_to(&mut self, to: &Backend) {
+        self.shard = to.id;
+        if self.shadow.is_some_and(|(holder, _)| holder == to.id) {
+            self.shadow = None;
+        }
+        if self.budget_j.is_some() && !to.supports_evict() {
+            self.budget_j = None;
+        }
+    }
 }
 
 /// One session's routing slot. The mutex serialises that session's
@@ -311,7 +325,8 @@ impl Cluster {
 
     /// Attaches an already-running `snn-serve` shard and joins it to the
     /// ring (rebalancing as for [`Cluster::spawn_shard`]). The shard must
-    /// speak [`PROTO_VERSION`]; a mismatched backend is refused.
+    /// speak [`PROTO_V2`]; any other backend is refused with
+    /// [`ClusterError::ProtoMismatch`].
     ///
     /// # Errors
     ///
@@ -323,7 +338,6 @@ impl Cluster {
             id,
             addr,
             self.state.limits.io_timeout,
-            self.state.limits.backend_max_proto,
             self.state.obs.relay_wire.clone(),
         )?);
         join_backend(&self.state, backend)?;
@@ -382,18 +396,7 @@ impl Cluster {
         };
         let rid = self.state.obs.registry.mint_rid();
         migrate_locked(id, &from_backend, &to_backend, &rid, &self.state.obs)?;
-        route.shard = to;
-        if route.shadow.is_some_and(|(h, _)| h == to) {
-            // Restoring the live session on its shadow holder dropped
-            // the parked blob; forget it so a failover never trusts it.
-            route.shadow = None;
-        }
-        if route.budget_j.is_some() && !to_backend.supports_evict() {
-            // The target cannot checkpoint an over-budget session;
-            // enforcement is impossible there, so the budget is dropped
-            // rather than silently firing doomed evict calls forever.
-            route.budget_j = None;
-        }
+        route.moved_to(&to_backend);
         Ok(())
     }
 
@@ -566,7 +569,6 @@ fn spawn_shard_on(state: &State, mut config: ServerConfig) -> Result<ShardId, Cl
         id,
         config,
         state.limits.io_timeout,
-        state.limits.backend_max_proto,
         state.obs.relay_wire.clone(),
     )?);
     join_backend(state, backend)?;
@@ -587,7 +589,7 @@ fn rebalance_on(state: &State) -> Result<usize, ClusterError> {
     let mut moved = 0usize;
     for (id, slot) in snapshot {
         let mut route = slot.route.lock().expect("session route poisoned");
-        let (target, from_backend, to_backend) = {
+        let (from_backend, to_backend) = {
             let inner = state.inner.lock().expect("cluster state poisoned");
             let Some(target) = inner.ring.shard_for(&id) else {
                 continue; // ringless cluster: nowhere to move anything
@@ -596,7 +598,6 @@ fn rebalance_on(state: &State) -> Result<usize, ClusterError> {
                 continue;
             }
             (
-                target,
                 inner.backends.get(&route.shard).cloned(),
                 inner.backends.get(&target).cloned(),
             )
@@ -607,17 +608,7 @@ fn rebalance_on(state: &State) -> Result<usize, ClusterError> {
         let rid = state.obs.registry.mint_rid();
         migrate_locked(&id, &from_backend, &to_backend, &rid, &state.obs)?;
         state.obs.sessions_moved.inc();
-        route.shard = target;
-        if route.shadow.is_some_and(|(h, _)| h == target) {
-            // Same rule as migrate_session: the restore consumed the
-            // parked blob on this shard.
-            route.shadow = None;
-        }
-        if route.budget_j.is_some() && !to_backend.supports_evict() {
-            // Same rule as migrate_session: an unenforceable budget
-            // is dropped, not silently voided per ingest.
-            route.budget_j = None;
-        }
+        route.moved_to(&to_backend);
         moved += 1;
     }
     Ok(moved)
@@ -706,7 +697,11 @@ fn health_loop(state: Arc<State>, stop: Arc<AtomicBool>) {
                 // shard's flight recorder while it is still answering,
                 // so a death in the next interval leaves a journal
                 // behind for the post-mortem.
-                if let Some(text) = fetch_shard_journal(&backend, state.limits.scrape_timeout) {
+                let journal = backend
+                    .call_with_deadline("journal", state.limits.scrape_timeout)
+                    .and_then(|reply| parse_response(&reply).ok())
+                    .and_then(|resp| hex_text(&resp, "data"));
+                if let Some(text) = journal {
                     let mut inner = state.inner.lock().expect("cluster state poisoned");
                     inner.journal_cache.insert(backend.id, text);
                 }
@@ -997,7 +992,7 @@ fn failover_sessions_of(state: &State, dead: ShardId, cause: &str) {
                         ("seq", seq.to_string()),
                     ],
                 );
-                route.shard = target.id;
+                route.moved_to(&target);
                 // Samples past the shadowed checkpoint died with the
                 // shard; report the gap on the next relayed reply.
                 route.replay_gap = Some(route.samples_seen.saturating_sub(seq));
@@ -1005,11 +1000,6 @@ fn failover_sessions_of(state: &State, dead: ShardId, cause: &str) {
                 // Restoring a live session under the id drops the
                 // holder's shadow copy; force a fresh push next sweep.
                 route.shadow = None;
-                if route.budget_j.is_some() && !target.supports_evict() {
-                    // Same rule as migration: an unenforceable budget is
-                    // dropped, not silently voided per ingest.
-                    route.budget_j = None;
-                }
             }
             Err(_) => {
                 journal_fail(&id);
@@ -1031,7 +1021,7 @@ fn handle_connection(stream: TcpStream, state: &Arc<State>) -> io::Result<()> {
         if n == 0 {
             return Ok(());
         }
-        state.obs.wire.count(PROTO_VERSION, n as u64, 0);
+        state.obs.wire_p1.count(n as u64, 0);
         if !line.ends_with('\n') {
             // Same truncation rule as the shard server: never dispatch a
             // cut-short line.
@@ -1085,6 +1075,7 @@ fn handle_connection(stream: TcpStream, state: &Arc<State>) -> io::Result<()> {
             }
         }
         let (reply, rid) = accept_line(&line, state);
+        state.obs.wire_p1.count_payload(&line, &reply);
         let w0 = Instant::now();
         write_reply(&mut writer, state, &reply)?;
         let wdur = w0.elapsed();
@@ -1134,10 +1125,7 @@ fn write_reply(writer: &mut TcpStream, state: &State, reply: &str) -> io::Result
     writer.write_all(reply.as_bytes())?;
     writer.write_all(b"\n")?;
     writer.flush()?;
-    state
-        .obs
-        .wire
-        .count(PROTO_VERSION, 0, reply.len() as u64 + 1);
+    state.obs.wire_p1.count(0, reply.len() as u64 + 1);
     Ok(())
 }
 
@@ -1156,7 +1144,9 @@ impl MuxHost for ClusterHost {
         // write itself happens on the shared writer thread, so proto 2
         // traces have no router-side write node — the writer-queue
         // gauge is what shows that backlog instead.
-        accept_line(line, &self.state).0
+        let reply = accept_line(line, &self.state).0;
+        self.state.obs.wire_p2.count_payload(line, &reply);
+        reply
     }
 
     fn push_line(&self, seq: u64, journal_cursor: &mut u64) -> Option<String> {
@@ -1176,7 +1166,7 @@ impl MuxHost for ClusterHost {
     }
 
     fn on_wire(&self, rx_bytes: u64, tx_bytes: u64) {
-        self.state.obs.wire.count(PROTO_V2, rx_bytes, tx_bytes);
+        self.state.obs.wire_p2.count(rx_bytes, tx_bytes);
     }
 
     fn on_queue_wait(&self, line: &str, waited: Duration) {
@@ -1280,28 +1270,21 @@ fn route_line(line: &str, state: &State) -> String {
     }
 }
 
-/// Forwards one data-plane line through its per-verb handler, carrying a
-/// request id: the client's (when the line already ends in `rid=…`) or a
-/// freshly minted one. The rid rides as the **final field** of the
-/// relayed line, so the shard's spans and the router's relay span share
-/// one id and a `cluster-metrics` scrape can stitch a request's path
-/// across processes.
+/// Forwards one data-plane line through its per-verb handler. The line
+/// already ends in its request id — [`accept_line`] appended it to every
+/// line that reaches here — and is relayed verbatim, so the shard's spans
+/// and the router's relay span share one id and a `cluster-metrics`
+/// scrape can stitch a request's path across processes.
 fn relay(line: &str, verb: &str, fields: &[(String, String)], state: &State) -> String {
     let obs = &state.obs;
     obs.relays.inc();
-    let trimmed = line.trim_end_matches(['\r', '\n']);
-    let (relay_line, rid) = match extract_rid(trimmed) {
-        Some(rid) => (trimmed.to_string(), rid.to_string()),
-        None => {
-            let rid = obs.registry.mint_rid();
-            (format!("{trimmed} rid={rid}"), rid)
-        }
-    };
+    let line = line.trim_end_matches(['\r', '\n']);
+    let rid = extract_rid(line).unwrap_or_default();
     let t0 = Instant::now();
     let reply = match verb {
-        "open" | "restore" => handle_open(&relay_line, fields, state),
-        "close" | "evict" => handle_release(&relay_line, verb, fields, state),
-        _ => handle_session(&relay_line, verb, fields, state),
+        "open" | "restore" => handle_open(line, fields, state),
+        "close" | "evict" => handle_release(line, verb, fields, state),
+        _ => handle_session(line, verb, fields, state),
     };
     let dur = t0.elapsed();
     obs.relay_us.record_duration(dur);
@@ -1314,7 +1297,7 @@ fn relay(line: &str, verb: &str, fields: &[(String, String)], state: &State) -> 
         span_fields.push(("id", id.to_string()));
     }
     obs.registry
-        .span(&format!("cluster.relay.{verb}"), &rid, dur, &span_fields);
+        .span(&format!("cluster.relay.{verb}"), rid, dur, &span_fields);
     reply
 }
 
@@ -1356,11 +1339,93 @@ fn router_snapshot(state: &State) -> Snapshot {
     r.snapshot()
 }
 
-/// `cluster-metrics`: scrapes every live shard's `metrics` exposition on
-/// its own deadline-bounded connection, merges them with the router's
-/// own snapshot, and replies with the aggregate (hex in `data`). A slow
-/// or garbled shard costs one deadline and one `cluster.scrape_fail`
-/// tick, never the whole scrape.
+/// One attached shard's part in a [`fan_out`].
+struct Scraped<T> {
+    backend: Arc<Backend>,
+    /// Wall time of the round trip; `None` for a shard already marked
+    /// dead, which is not contacted.
+    elapsed: Option<Duration>,
+    /// The parsed reply; `None` when the shard is dead, timed out, failed,
+    /// or answered something the caller's parser rejects.
+    reply: Option<T>,
+}
+
+/// The one way the router reaches every shard at once: sends `line` to
+/// each live shard on its own thread and its own deadline-bounded
+/// connection ([`Backend::call_with_deadline`] under
+/// [`ClusterLimits::scrape_timeout`]), so any number of stalled shards
+/// cost the caller one deadline, never one per shard and never the
+/// data-plane `io_timeout`. Each round trip is timed into
+/// `cluster.scrape_us`; a live shard whose reply is missing or rejected
+/// by `parse` ticks [`record_scrape_fail`]. Returns every attached shard,
+/// ascending by id.
+fn fan_out<T: Send>(
+    state: &State,
+    line: &str,
+    parse: impl Fn(Response) -> Option<T> + Sync,
+) -> Vec<Scraped<T>> {
+    let backends: Vec<Arc<Backend>> = {
+        let inner = state.inner.lock().expect("cluster state poisoned");
+        inner.backends.values().cloned().collect()
+    };
+    let deadline = state.limits.scrape_timeout;
+    let parse = &parse;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = backends
+            .into_iter()
+            .map(|backend| {
+                scope.spawn(move || {
+                    if !backend.is_alive() {
+                        return Scraped {
+                            backend,
+                            elapsed: None,
+                            reply: None,
+                        };
+                    }
+                    let t0 = Instant::now();
+                    let reply = backend
+                        .call_with_deadline(line, deadline)
+                        .and_then(|reply| parse_response(&reply).ok())
+                        .and_then(parse);
+                    let elapsed = t0.elapsed();
+                    state.obs.scrape_us.record_duration(elapsed);
+                    if reply.is_none() {
+                        record_scrape_fail(state, backend.id);
+                    }
+                    Scraped {
+                        backend,
+                        elapsed: Some(elapsed),
+                        reply,
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("fan-out thread"))
+            .collect()
+    })
+}
+
+/// A [`fan_out`]'s live shards contacted, and the replies that parsed.
+fn replies<T>(scraped: Vec<Scraped<T>>) -> (usize, Vec<T>) {
+    let attempted = scraped.iter().filter(|s| s.elapsed.is_some()).count();
+    (
+        attempted,
+        scraped.into_iter().filter_map(|s| s.reply).collect(),
+    )
+}
+
+/// A reply's hex-encoded text field, decoded (`None` when absent or not
+/// hex-encoded UTF-8).
+fn hex_text(resp: &Response, key: &str) -> Option<String> {
+    String::from_utf8(hex_decode(resp.get(key)?).ok()?).ok()
+}
+
+/// `cluster-metrics`: every live shard's `metrics` exposition merged with
+/// the router's own snapshot (hex in `data`). A slow or garbled shard
+/// costs one deadline and one `cluster.scrape_fail` tick, never the whole
+/// scrape.
 fn cluster_metrics_line(state: &State) -> String {
     let (attempted, ok, merged) = merged_metrics(state);
     format_response(&Response::ok([
@@ -1373,42 +1438,15 @@ fn cluster_metrics_line(state: &State) -> String {
 }
 
 /// The cluster-wide merged exposition behind `cluster-metrics` and the
-/// router's `subscribe` stream: every live shard scraped on its own
-/// deadline, merged with the router's snapshot. Returns
-/// `(live shards attempted, scrapes that succeeded, merged snapshot)`.
+/// router's `subscribe` stream. Returns `(live shards attempted, scrapes
+/// that succeeded, merged snapshot)`.
 fn merged_metrics(state: &State) -> (usize, usize, Snapshot) {
-    let backends: Vec<Arc<Backend>> = {
-        let inner = state.inner.lock().expect("cluster state poisoned");
-        inner.backends.values().cloned().collect()
-    };
-    let deadline = state.limits.scrape_timeout;
-    let scraped: Vec<Option<Snapshot>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = backends
-            .iter()
-            .map(|backend| {
-                scope.spawn(move || {
-                    if !backend.is_alive() {
-                        return None;
-                    }
-                    let t0 = Instant::now();
-                    let snap = scrape_shard_metrics(backend, deadline);
-                    state.obs.scrape_us.record_duration(t0.elapsed());
-                    if snap.is_none() {
-                        record_scrape_fail(state, backend.id);
-                    }
-                    Some(snap)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .filter_map(|h| h.join().expect("metrics scrape thread"))
-            .collect()
-    });
-    let attempted = scraped.len();
-    let ok = scraped.iter().filter(|s| s.is_some()).count();
+    let (attempted, snaps) = replies(fan_out(state, "metrics", |resp| {
+        Snapshot::parse(&hex_text(&resp, "data")?).ok()
+    }));
+    let ok = snaps.len();
     let mut merged = router_snapshot(state);
-    for snap in scraped.into_iter().flatten() {
+    for snap in snaps {
         merged.merge(&snap);
     }
     (attempted, ok, merged)
@@ -1431,24 +1469,6 @@ fn record_scrape_fail(state: &State, shard: ShardId) {
         .journal_event("cluster.scrape_fail", "", &[("shard", shard.to_string())]);
 }
 
-/// One shard's `metrics` reply, decoded and parsed (`None` on timeout,
-/// transport failure, or a malformed exposition).
-fn scrape_shard_metrics(backend: &Backend, deadline: Duration) -> Option<Snapshot> {
-    let reply = backend.call_with_deadline("metrics", deadline)?;
-    let resp = parse_response(&reply).ok()?;
-    let text = String::from_utf8(hex_decode(resp.get("data")?).ok()?).ok()?;
-    Snapshot::parse(&text).ok()
-}
-
-/// One shard's `journal` reply, decoded to the raw journal text (`None`
-/// on timeout, transport failure, a malformed reply, or a shard that
-/// predates the verb — black-box capture is strictly best-effort).
-fn fetch_shard_journal(backend: &Backend, deadline: Duration) -> Option<String> {
-    let reply = backend.call_with_deadline("journal", deadline)?;
-    let resp = parse_response(&reply).ok()?;
-    String::from_utf8(hex_decode(resp.get("data")?).ok()?).ok()
-}
-
 /// `journal`: the router's own flight recorder (hex in `data`, the same
 /// shape as a shard's so [`snn_serve::ServeClient::journal`] works
 /// against either tier).
@@ -1463,40 +1483,18 @@ fn journal_line(state: &State) -> String {
 }
 
 /// `cluster-journal`: the merged cluster-wide flight recorder — the
-/// router's own journal, every live shard's fetched now on a bounded
-/// deadline, and the frozen post-mortem copies of dead shards. The
+/// router's own journal, every live shard's fetched now through
+/// [`fan_out`], and the frozen post-mortem copies of dead shards. The
 /// merge is ordered by event timestamp, so the tail of the reply reads
 /// as the cluster's last moments in causal order.
 fn cluster_journal_line(state: &State) -> String {
+    let (attempted, journals) = replies(fan_out(state, "journal", |resp| {
+        JournalSnapshot::parse(&hex_text(&resp, "data")?).ok()
+    }));
+    let ok = journals.len();
     let mut merged = state.obs.registry.journal_snapshot();
-    let (backends, victims): (Vec<Arc<Backend>>, Vec<String>) = {
-        let inner = state.inner.lock().expect("cluster state poisoned");
-        (
-            inner.backends.values().cloned().collect(),
-            inner.victim_journals.values().cloned().collect(),
-        )
-    };
-    let deadline = state.limits.scrape_timeout;
-    let mut attempted = 0usize;
-    let mut ok = 0usize;
-    for backend in backends {
-        if !backend.is_alive() {
-            continue;
-        }
-        attempted += 1;
-        match fetch_shard_journal(&backend, deadline).and_then(|t| JournalSnapshot::parse(&t).ok())
-        {
-            Some(snap) => {
-                merged.merge(&snap);
-                ok += 1;
-            }
-            None => record_scrape_fail(state, backend.id),
-        }
-    }
-    for text in victims {
-        if let Ok(snap) = JournalSnapshot::parse(&text) {
-            merged.merge(&snap);
-        }
+    for snap in journals.iter().chain(&victim_journals(state)) {
+        merged.merge(snap);
     }
     format_response(&Response::ok([
         ("instance", state.obs.registry.instance().to_string()),
@@ -1504,6 +1502,16 @@ fn cluster_journal_line(state: &State) -> String {
         ("scraped", ok.to_string()),
         ("data", hex_encode(merged.render().as_bytes())),
     ]))
+}
+
+/// The frozen post-mortem journals of every shard declared dead.
+fn victim_journals(state: &State) -> Vec<JournalSnapshot> {
+    let inner = state.inner.lock().expect("cluster state poisoned");
+    inner
+        .victim_journals
+        .values()
+        .filter_map(|text| JournalSnapshot::parse(text).ok())
+        .collect()
 }
 
 /// `trace rid=…`: the router's own raw trace material for one request
@@ -1542,15 +1550,14 @@ fn trace_line(state: &State, fields: &[(String, String)]) -> String {
 }
 
 /// `cluster-trace rid=…`: the on-demand cluster-wide trace assembler.
-/// Fans `trace rid=…` out to every live shard on its own
-/// deadline-bounded connection (a slow shard costs one deadline and a
-/// `cluster.scrape_fail` tick, never the whole trace), merges the
-/// shards' spans and journal events with the router's own rid-filtered
-/// material **and the frozen post-mortem journals of dead shards**,
-/// assembles the parent-linked trace tree, and replies with the
-/// rendered `# snn-trace v1` document (hex in `data`). A request that
-/// crossed a shard which has since died still explains itself: the
-/// victim's journal events ride in as `via=journal` leaves.
+/// Fans `trace rid=…` out to every live shard through [`fan_out`] (a slow
+/// shard costs one deadline and a `cluster.scrape_fail` tick, never the
+/// whole trace), merges the shards' spans and journal events with the
+/// router's own rid-filtered material **and the frozen post-mortem
+/// journals of dead shards**, assembles the parent-linked trace tree, and
+/// replies with the rendered `# snn-trace v1` document (hex in `data`). A
+/// request that crossed a shard which has since died still explains
+/// itself: the victim's journal events ride in as `via=journal` leaves.
 fn cluster_trace_line(state: &State, fields: &[(String, String)]) -> String {
     let Some(rid) = find(fields, "rid") else {
         return err_line("bad-request", "missing field rid");
@@ -1558,51 +1565,21 @@ fn cluster_trace_line(state: &State, fields: &[(String, String)]) -> String {
     if !valid_rid(rid) {
         return err_line("bad-request", "invalid rid");
     }
-    let (backends, victims): (Vec<Arc<Backend>>, Vec<String>) = {
-        let inner = state.inner.lock().expect("cluster state poisoned");
-        (
-            inner.backends.values().cloned().collect(),
-            inner.victim_journals.values().cloned().collect(),
-        )
-    };
-    let deadline = state.limits.scrape_timeout;
-    let request = format!("trace rid={rid}");
-    let scraped: Vec<Option<(Snapshot, JournalSnapshot)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = backends
-            .iter()
-            .map(|backend| {
-                let request = request.as_str();
-                scope.spawn(move || {
-                    if !backend.is_alive() {
-                        return None;
-                    }
-                    let t0 = Instant::now();
-                    let got = fetch_shard_trace(backend, request, deadline);
-                    state.obs.scrape_us.record_duration(t0.elapsed());
-                    if got.is_none() {
-                        record_scrape_fail(state, backend.id);
-                    }
-                    Some(got)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .filter_map(|h| h.join().expect("trace scrape thread"))
-            .collect()
-    });
-    let attempted = scraped.len();
-    let ok = scraped.iter().filter(|s| s.is_some()).count();
+    let (attempted, traces) = replies(fan_out(state, &format!("trace rid={rid}"), |resp| {
+        Some((
+            Snapshot::parse(&hex_text(&resp, "data")?).ok()?,
+            JournalSnapshot::parse(&hex_text(&resp, "journal")?).ok()?,
+        ))
+    }));
+    let ok = traces.len();
     let mut spans = state.obs.registry.snapshot().spans;
     let mut events = state.obs.registry.journal_snapshot().events;
-    for (snap, journal) in scraped.into_iter().flatten() {
+    for (snap, journal) in traces {
         spans.extend(snap.spans);
         events.extend(journal.events);
     }
-    for text in victims {
-        if let Ok(snap) = JournalSnapshot::parse(&text) {
-            events.extend(snap.events);
-        }
+    for journal in victim_journals(state) {
+        events.extend(journal.events);
     }
     let Some(tree) = TraceTree::assemble(rid, &spans, &events) else {
         return err_line(
@@ -1619,24 +1596,6 @@ fn cluster_trace_line(state: &State, fields: &[(String, String)]) -> String {
         ("root_us", tree.root.dur_us.to_string()),
         ("data", hex_encode(tree.render().as_bytes())),
     ]))
-}
-
-/// One shard's `trace` reply, decoded to its span snapshot and journal
-/// events (`None` on timeout, transport failure, a malformed reply, or
-/// a shard that predates the verb).
-fn fetch_shard_trace(
-    backend: &Backend,
-    request: &str,
-    deadline: Duration,
-) -> Option<(Snapshot, JournalSnapshot)> {
-    let reply = backend.call_with_deadline(request, deadline)?;
-    let resp = parse_response(&reply).ok()?;
-    let spans = String::from_utf8(hex_decode(resp.get("data")?).ok()?).ok()?;
-    let journal = String::from_utf8(hex_decode(resp.get("journal")?).ok()?).ok()?;
-    Some((
-        Snapshot::parse(&spans).ok()?,
-        JournalSnapshot::parse(&journal).ok()?,
-    ))
 }
 
 /// `cluster-grow`: spawns a default-configured shard and joins it to the
@@ -1768,7 +1727,7 @@ fn serve_cluster_subscription(
             {
                 break;
             }
-            state.obs.wire.count(PROTO_VERSION, 0, frame.len() as u64);
+            state.obs.wire_p1.count(0, frame.len() as u64);
         }
     });
     Ok(())
@@ -2107,66 +2066,34 @@ fn evict_on_shard(id: &str, backend: &Backend) -> Option<String> {
 // ---------------------------------------------------------------------------
 // Stats aggregation.
 
-fn shard_snapshot(state: &State) -> Vec<ShardStats> {
-    let backends: Vec<Arc<Backend>> = {
-        let inner = state.inner.lock().expect("cluster state poisoned");
-        inner.backends.values().cloned().collect()
-    };
-    // One scoped thread per shard, each on its own deadline-bounded
-    // connection: a slow or stalled shard costs the caller at most one
-    // scrape_timeout in total — never the much larger data-plane
-    // io_timeout, and never one deadline per shard in sequence.
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = backends
-            .iter()
-            .map(|backend| scope.spawn(move || shard_stats(backend, state)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard stats thread"))
-            .collect()
-    })
-}
-
-fn shard_stats(backend: &Arc<Backend>, state: &State) -> ShardStats {
-    let mut stats = ShardStats {
-        id: backend.id,
-        addr: backend.addr,
-        alive: backend.is_alive(),
-        sessions: 0,
-        queued_jobs: 0,
-        total_samples: 0,
-        total_j: 0.0,
-        uptime_s: 0,
-        scrape_us: 0,
-    };
-    if stats.alive {
-        let t0 = Instant::now();
-        let resp = backend
-            .call_with_deadline("stats", state.limits.scrape_timeout)
-            .and_then(|reply| parse_response(&reply).ok());
-        let elapsed = t0.elapsed();
-        stats.scrape_us = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
-        state.obs.scrape_us.record_duration(elapsed);
-        if let Some(resp) = resp {
-            let num = |key: &str| resp.get(key).and_then(|v| v.parse::<u64>().ok());
-            stats.sessions = num("sessions").unwrap_or(0) as usize;
-            stats.queued_jobs = num("queued_jobs").unwrap_or(0) as usize;
-            stats.total_samples = num("total_samples").unwrap_or(0);
-            stats.total_j = resp
-                .get("total_j")
-                .and_then(|v| v.parse::<f64>().ok())
-                .unwrap_or(0.0);
-            stats.uptime_s = num("uptime_s").unwrap_or(0);
-        } else {
-            record_scrape_fail(state, backend.id);
-        }
-    }
-    stats
-}
-
 fn gather_stats(state: &State) -> ClusterStats {
-    let shards = shard_snapshot(state);
+    let shards: Vec<ShardStats> = fan_out(state, "stats", Some)
+        .into_iter()
+        .map(
+            |Scraped {
+                 backend,
+                 elapsed,
+                 reply,
+             }| {
+                let field = |key: &str| reply.as_ref().and_then(|r| r.get(key));
+                let num = |key: &str| field(key).and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
+                ShardStats {
+                    id: backend.id,
+                    addr: backend.addr,
+                    alive: elapsed.is_some(),
+                    sessions: num("sessions") as usize,
+                    queued_jobs: num("queued_jobs") as usize,
+                    total_samples: num("total_samples"),
+                    total_j: field("total_j")
+                        .and_then(|v| v.parse::<f64>().ok())
+                        .unwrap_or(0.0),
+                    uptime_s: num("uptime_s"),
+                    scrape_us: elapsed
+                        .map_or(0, |d| d.as_micros().min(u128::from(u64::MAX)) as u64),
+                }
+            },
+        )
+        .collect();
     let (sessions, evicted_sessions) = {
         let inner = state.inner.lock().expect("cluster state poisoned");
         (inner.sessions.len(), inner.evicted.len())

@@ -18,15 +18,13 @@
 //! down, with each flap paying a full live-migration rebalance.
 //!
 //! The side-effecting half is the [`ShardPool`] trait plus the
-//! [`run`] driver loop. [`ClusterPool`] adapts a live
-//! [`snn_cluster::Cluster`]: grow spawns a shard (the ring rebalance
-//! live-migrates a fair share of sessions onto it), shrink drains the
-//! live shard with the fewest sessions (live-migrating them off).
-//! [`WirePool`] is the same loop untethered from the process: it reads
-//! load from the router's `cluster-metrics` verb (through `snn-slo`'s
-//! [`load_view`]) and scales through `cluster-grow`/`cluster-drain`,
-//! so the healer needs only the router's address, never a [`Cluster`]
-//! handle.
+//! [`run`] driver loop. [`WirePool`] adapts a live cluster through its
+//! router's wire verbs alone: it reads load from `cluster-metrics`
+//! (through `snn-slo`'s [`load_view`]) and scales through `cluster-grow`
+//! (spawn a shard; the ring rebalance live-migrates a fair share of
+//! sessions onto it) and `cluster-drain` (drain the live shard with the
+//! fewest sessions, live-migrating them off), so the healer needs only
+//! the router's address, never a [`snn_cluster::Cluster`] handle.
 //!
 //! ```
 //! use snn_heal::{Autoscaler, AutoscalerPolicy, LoadSnapshot, ScaleAction};
@@ -49,9 +47,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use snn_cluster::{Cluster, ClusterError};
+use snn_cluster::ClusterError;
 use snn_serve::protocol::hex_decode;
-use snn_serve::{ServeClient, ServerConfig};
+use snn_serve::ServeClient;
 use snn_slo::{load_view, LoadView};
 
 /// One observation of a shard pool's load, the autoscaler's only input.
@@ -210,7 +208,7 @@ impl Autoscaler {
 }
 
 /// The pool of shards an autoscaler acts on. Implemented by
-/// [`ClusterPool`] for a live cluster; tests implement it with fakes to
+/// [`WirePool`] for a live cluster; tests implement it with fakes to
 /// drive the loop without sockets.
 pub trait ShardPool {
     /// A point-in-time load observation.
@@ -219,51 +217,6 @@ pub trait ShardPool {
     fn grow(&self) -> Result<(), ClusterError>;
     /// Drains and removes one shard of the pool's choosing.
     fn shrink(&self) -> Result<(), ClusterError>;
-}
-
-/// [`ShardPool`] over a live [`Cluster`]: grow spawns a shard from a
-/// config template, shrink drains the live shard with the fewest
-/// sessions (its sessions live-migrate off before it leaves).
-#[derive(Debug)]
-pub struct ClusterPool<'a> {
-    cluster: &'a Cluster,
-    /// Template for shards the pool spawns.
-    config: ServerConfig,
-}
-
-impl<'a> ClusterPool<'a> {
-    /// A pool over `cluster`, spawning new shards from `config`.
-    pub fn new(cluster: &'a Cluster, config: ServerConfig) -> Self {
-        ClusterPool { cluster, config }
-    }
-}
-
-impl ShardPool for ClusterPool<'_> {
-    fn load(&self) -> LoadSnapshot {
-        let stats = self.cluster.stats();
-        LoadSnapshot {
-            alive_shards: stats.shards.iter().filter(|s| s.alive).count(),
-            sessions: stats.sessions,
-            queued_jobs: stats.queued_jobs,
-            total_j: stats.total_j,
-        }
-    }
-
-    fn grow(&self) -> Result<(), ClusterError> {
-        self.cluster.spawn_shard(self.config.clone()).map(|_| ())
-    }
-
-    fn shrink(&self) -> Result<(), ClusterError> {
-        let stats = self.cluster.stats();
-        let victim = stats
-            .shards
-            .iter()
-            .filter(|s| s.alive)
-            .min_by_key(|s| s.sessions)
-            .map(|s| s.id)
-            .ok_or(ClusterError::NoShards)?;
-        self.cluster.drain_shard(victim).map(|_| ())
-    }
 }
 
 /// [`ShardPool`] over the wire: observes and acts on a cluster purely

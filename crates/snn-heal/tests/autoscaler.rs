@@ -6,8 +6,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use snn_cluster::{Cluster, ClusterConfig};
-use snn_heal::{run, AutoscalerPolicy, ClusterPool, WirePool};
+use snn_cluster::{Cluster, ClusterConfig, ClusterError};
+use snn_heal::{run, AutoscalerPolicy, LoadSnapshot, ShardPool, WirePool};
 use snn_serve::{ServeClient, ServerConfig, SessionSpec};
 use spikedyn::Method;
 
@@ -48,6 +48,38 @@ fn wait_for_shards(cluster: &Cluster, want: usize, what: &str) {
     }
 }
 
+/// [`ShardPool`] over the in-process [`Cluster`] handle: grow spawns a
+/// default shard, shrink drains the live shard with the fewest sessions.
+struct InProcessPool<'a>(&'a Cluster);
+
+impl ShardPool for InProcessPool<'_> {
+    fn load(&self) -> LoadSnapshot {
+        let stats = self.0.stats();
+        LoadSnapshot {
+            alive_shards: stats.shards.iter().filter(|s| s.alive).count(),
+            sessions: stats.sessions,
+            queued_jobs: stats.queued_jobs,
+            total_j: stats.total_j,
+        }
+    }
+
+    fn grow(&self) -> Result<(), ClusterError> {
+        self.0.spawn_shard(ServerConfig::default()).map(|_| ())
+    }
+
+    fn shrink(&self) -> Result<(), ClusterError> {
+        let stats = self.0.stats();
+        let victim = stats
+            .shards
+            .iter()
+            .filter(|s| s.alive)
+            .min_by_key(|s| s.sessions)
+            .map(|s| s.id)
+            .ok_or(ClusterError::NoShards)?;
+        self.0.drain_shard(victim).map(|_| ())
+    }
+}
+
 #[test]
 fn pool_grows_under_load_and_drains_at_idle() {
     let cluster = Cluster::start("127.0.0.1:0", ClusterConfig::default()).unwrap();
@@ -64,7 +96,7 @@ fn pool_grows_under_load_and_drains_at_idle() {
         ..AutoscalerPolicy::default()
     };
     let stop = AtomicBool::new(false);
-    let pool = ClusterPool::new(&cluster, ServerConfig::default());
+    let pool = InProcessPool(&cluster);
     let report = std::thread::scope(|scope| {
         let scaler = scope.spawn(|| run(&pool, policy, Duration::from_millis(30), &stop));
 
@@ -129,6 +161,9 @@ fn wire_pool_scales_from_telemetry_alone() {
     let report = std::thread::scope(|scope| {
         let scaler = scope.spawn(|| run(&pool, policy, Duration::from_millis(30), &stop));
 
+        // Inject load: 10 sessions on 1 shard is 10 sessions/shard,
+        // far over the 4.0 watermark — the pool must grow to its cap
+        // (10/3 is comfortable again).
         let mut client = ServeClient::connect(cluster.local_addr()).unwrap();
         for s in 0..10u64 {
             let id = format!("wp-{s}");
@@ -137,10 +172,14 @@ fn wire_pool_scales_from_telemetry_alone() {
         }
         wait_for_shards(&cluster, 3, "wire-driven growth");
 
+        // Every session still serves after the growth rebalances
+        // live-migrated a fair share onto the new shards.
         for s in 0..10u64 {
             client.ingest(&format!("wp-{s}"), &stream(s, 4)).unwrap();
         }
 
+        // Remove the load: an idle pool must drain back to the floor
+        // (and no further).
         for s in 0..10u64 {
             client.close(&format!("wp-{s}")).unwrap();
         }
@@ -151,5 +190,11 @@ fn wire_pool_scales_from_telemetry_alone() {
     });
     assert!(report.grows >= 2, "grew at least twice: {report:?}");
     assert!(report.shrinks >= 2, "drained at least twice: {report:?}");
+
+    // The survivor still serves new sessions.
+    let mut client = ServeClient::connect(cluster.local_addr()).unwrap();
+    client.open("after", tiny_spec(42)).unwrap();
+    client.ingest("after", &stream(42, 4)).unwrap();
+    client.close("after").unwrap();
     cluster.shutdown();
 }

@@ -7,6 +7,7 @@
 //! Accepts the shared scale flags (`--spt`, `--seed`, `--n-small`, …).
 
 use spikedyn_bench::experiments::cluster::{run_profile, Profile};
+use spikedyn_bench::output::{write_bench_json, write_root_artifact};
 use spikedyn_bench::HarnessScale;
 
 fn main() {
@@ -17,6 +18,10 @@ fn main() {
         Profile::Standard
     };
     let t0 = std::time::Instant::now();
-    print!("{}", run_profile(&scale, profile));
+    let (report, bench, postmortem) = run_profile(&scale, profile);
+    write_bench_json("cluster", &bench).expect("write BENCH_cluster.json");
+    write_root_artifact("POSTMORTEM_cluster.journal", &postmortem)
+        .expect("write POSTMORTEM_cluster.journal");
+    print!("{report}");
     println!("[cluster done in {:.1}s]", t0.elapsed().as_secs_f32());
 }

@@ -4,6 +4,7 @@ use spikedyn_bench::experiments::{
     ablations, cluster, fig01, fig04, fig05, fig06, fig09, fig10, fig11, online, serve, table01,
     table02,
 };
+use spikedyn_bench::output::{write_bench_json, write_root_artifact};
 use spikedyn_bench::HarnessScale;
 
 fn main() {
@@ -30,8 +31,18 @@ fn main() {
         // Smoke profiles: run_all validates the serving and cluster
         // layers end to end; the full-scale load runs are the `serve`
         // and `cluster` binaries.
-        ("Serve", serve::run_smoke),
-        ("Cluster", cluster::run_smoke),
+        ("Serve", |scale| {
+            let (report, bench) = serve::run_smoke(scale);
+            write_bench_json("serve", &bench).expect("write BENCH_serve.json");
+            report
+        }),
+        ("Cluster", |scale| {
+            let (report, bench, postmortem) = cluster::run_smoke(scale);
+            write_bench_json("cluster", &bench).expect("write BENCH_cluster.json");
+            write_root_artifact("POSTMORTEM_cluster.journal", &postmortem)
+                .expect("write POSTMORTEM_cluster.journal");
+            report
+        }),
     ];
     for (name, f) in experiments {
         let t0 = std::time::Instant::now();

@@ -7,6 +7,7 @@
 //! Accepts the shared scale flags (`--spt`, `--seed`, `--n-small`, …).
 
 use spikedyn_bench::experiments::serve::{run_profile, Profile};
+use spikedyn_bench::output::write_bench_json;
 use spikedyn_bench::HarnessScale;
 
 fn main() {
@@ -17,6 +18,8 @@ fn main() {
         Profile::Standard
     };
     let t0 = std::time::Instant::now();
-    print!("{}", run_profile(&scale, profile));
+    let (report, bench) = run_profile(&scale, profile);
+    write_bench_json("serve", &bench).expect("write BENCH_serve.json");
+    print!("{report}");
     println!("[serve done in {:.1}s]", t0.elapsed().as_secs_f32());
 }

@@ -26,8 +26,14 @@
 //! feeds an `snn-slo` engine throughout (a deliberately unattainable
 //! ingest-latency canary proves the alert path fires), and afterwards
 //! the merged `cluster-journal` post-mortem — including the dead
-//! victim's black-box copy — is dumped to `POSTMORTEM_cluster.journal`
-//! and required to chain `probe_fail → shard_down → failover` by rid.
+//! victim's black-box copy — is required to chain
+//! `probe_fail → shard_down → failover` by rid and becomes the
+//! `POSTMORTEM_cluster.journal` artifact.
+//!
+//! Last, a **wire comparison** drives one checkpoint-heavy workload
+//! once with a proto 1 client and once with a proto 2 client and pins
+//! the binary framing's payload reduction on the router's client-facing
+//! byte counters.
 //!
 //! Latency and throughput are wall-clock and machine-dependent; the
 //! learner outcomes are deterministic.
@@ -41,9 +47,7 @@ use snn_serve::{ServeClient, ServerConfig, SessionSpec, SnnServer, PROTO_V2, PRO
 use snn_slo::{Objective, Signal, SloEngine, SloPolicy};
 use spikedyn::Method;
 
-use crate::output::{
-    json_array, latency_breakdown, write_bench_json, write_root_artifact, Json, Table,
-};
+use crate::output::{json_array, latency_breakdown, Json, Table};
 use crate::scale::HarnessScale;
 
 /// Scale profile of one cluster run.
@@ -62,8 +66,7 @@ pub enum Profile {
 /// must not silently overwrite them with proto-1 figures. CI pins each
 /// leg explicitly (proto 1 first, proto 2 last) so both framings stay
 /// load tested and the artifact left behind is always the proto-2 one.
-/// The router↔shard relay negotiates its own protocol independently
-/// (proto 2 by default).
+/// The router↔shard relay always speaks proto 2.
 fn client_proto() -> u32 {
     match std::env::var("SNN_CLUSTER_PROTO").ok().as_deref() {
         Some("1") => PROTO_VERSION,
@@ -287,9 +290,11 @@ struct ChaosOutcome {
     /// discarded for slow subscribers (usually 0 here; reported so a
     /// lossy run is visible in the trajectory).
     subscribe_drops: u64,
-    /// Events in the merged post-mortem journal written to
-    /// `POSTMORTEM_cluster.journal`.
+    /// Events in the merged post-mortem journal.
     postmortem_events: u64,
+    /// The merged post-mortem journal text (the
+    /// `POSTMORTEM_cluster.journal` artifact).
+    postmortem: String,
     /// Samples the clients streamed that the servers do not hold at
     /// close time — the drill's silent-loss measure, asserted to be 0
     /// (every failover must recover the whole shadowed prefix, and the
@@ -539,15 +544,13 @@ fn run_chaos(scale: &HarnessScale, profile: Profile) -> ChaosOutcome {
         .expect("connect for scrape");
     let telemetry = scrape_expo(&mut scraper, "cluster-metrics");
 
-    // Dump the merged post-mortem journal — router + live shards + the
-    // victim's black-box copy — to a root-level artifact, and require
-    // its tail to explain the failover: strikes and the death verdict
-    // share one incident rid, and each failover cites that incident.
+    // Fetch the merged post-mortem journal — router + live shards + the
+    // victim's black-box copy — and require its tail to explain the
+    // failover: strikes and the death verdict share one incident rid,
+    // and each failover cites that incident.
     let journal_text = scrape_journal_text(&mut scraper);
     let journal = snn_obs::JournalSnapshot::parse(&journal_text)
         .unwrap_or_else(|e| panic!("post-mortem journal is malformed: {e}"));
-    write_root_artifact("POSTMORTEM_cluster.journal", &journal_text)
-        .expect("write POSTMORTEM_cluster.journal");
     let down = journal
         .events
         .iter()
@@ -623,6 +626,7 @@ fn run_chaos(scale: &HarnessScale, profile: Profile) -> ChaosOutcome {
         alerts_fired,
         subscribe_drops: telemetry.counter("cluster.subscribe.drops"),
         postmortem_events: journal.events.len() as u64,
+        postmortem: journal_text,
         lost_samples,
         trace_nodes,
     };
@@ -661,26 +665,25 @@ fn scrape_journal_text(client: &mut ServeClient) -> String {
     String::from_utf8(bytes).unwrap_or_else(|e| panic!("cluster-journal payload is not UTF-8: {e}"))
 }
 
-/// Relay-path byte totals of one [`wire_run`]: what the `data=`
-/// payloads occupied on the router↔shard wire, and the whole
+/// Client-facing byte totals of one [`wire_run`]: what the `data=`
+/// payloads occupied on the client↔router wire, and the whole
 /// lines/frames around them.
 struct WireRun {
     payload_bytes: u64,
     wire_bytes: u64,
 }
 
-/// Drives one checkpoint-heavy workload with the router↔shard relay
-/// pinned to the given protocol generation and reads the
-/// `cluster.relay.p{N}.*` counters back. The cluster is quieted (no
+/// Drives one checkpoint-heavy workload with a client speaking the given
+/// protocol generation and reads the router's client-facing
+/// `cluster.wire.p{N}.*` counters back. The cluster is quieted (no
 /// probes, no shadow sweeps) so the byte counts are exactly the
 /// workload's — the p1 and p2 runs move bit-identical payloads, and the
-/// only difference on the relay wire is the framing.
-fn wire_run(scale: &HarnessScale, profile: Profile, backend_proto: u32) -> WireRun {
+/// only difference on the client wire is the framing.
+fn wire_run(scale: &HarnessScale, profile: Profile, proto: u32) -> WireRun {
     let cluster = Cluster::start(
         "127.0.0.1:0",
         ClusterConfig {
             limits: ClusterLimits {
-                backend_max_proto: backend_proto,
                 health_interval: Duration::from_secs(60),
                 shadow_interval: None,
                 ..ClusterLimits::default()
@@ -688,13 +691,11 @@ fn wire_run(scale: &HarnessScale, profile: Profile, backend_proto: u32) -> WireR
         },
     )
     .expect("bind an ephemeral port");
-    for _ in 0..2 {
-        cluster
-            .spawn_shard(ServerConfig::default())
-            .expect("spawn shard");
-    }
-    let mut client = ServeClient::connect_with_proto(cluster.local_addr(), client_proto())
-        .expect("connect to router");
+    cluster
+        .spawn_shard(ServerConfig::default())
+        .expect("spawn shard");
+    let mut client =
+        ServeClient::connect_with_proto(cluster.local_addr(), proto).expect("connect to router");
     let spec = spec(scale, profile, 0);
     let id = "wire";
     client.open(id, spec.clone()).expect("open session");
@@ -709,43 +710,33 @@ fn wire_run(scale: &HarnessScale, profile: Profile, backend_proto: u32) -> WireR
     for chunk in stream.chunks(spec.batch_size) {
         client.ingest(id, chunk).expect("ingest");
     }
-    // The checkpoint-heavy half: snapshot fetches plus live migrations
-    // (each a checkpoint→restore round trip over the relay), the blob
-    // traffic the binary framing exists for.
+    // The checkpoint-heavy half: snapshot blobs, the traffic the binary
+    // framing exists for.
     for _ in 0..4 {
         let snapshot = client.checkpoint(id).expect("checkpoint");
         assert!(!snapshot.is_empty(), "checkpoint must carry a payload");
-        let here = cluster.session_shard(id).expect("session is routed");
-        let there = cluster
-            .shard_ids()
-            .into_iter()
-            .find(|&s| s != here)
-            .expect("two shards");
-        cluster.migrate_session(id, there).expect("live migration");
     }
     client.close(id).expect("close session");
 
-    let mut scraper = ServeClient::connect_with_proto(cluster.local_addr(), client_proto())
-        .expect("connect for scrape");
-    let telemetry = scrape_expo(&mut scraper, "cluster-metrics");
+    let telemetry = scrape_expo(&mut client, "metrics");
     cluster.shutdown();
-    let p = if backend_proto >= PROTO_V2 { 2 } else { 1 };
+    let p = if proto >= PROTO_V2 { 2 } else { 1 };
     WireRun {
-        payload_bytes: telemetry.counter(&format!("cluster.relay.p{p}.payload_bytes")),
-        wire_bytes: telemetry.counter(&format!("cluster.relay.p{p}.rx_bytes"))
-            + telemetry.counter(&format!("cluster.relay.p{p}.tx_bytes")),
+        payload_bytes: telemetry.counter(&format!("cluster.wire.p{p}.payload_bytes")),
+        wire_bytes: telemetry.counter(&format!("cluster.wire.p{p}.rx_bytes"))
+            + telemetry.counter(&format!("cluster.wire.p{p}.tx_bytes")),
     }
 }
 
-/// Runs the identical workload once per relay protocol and pins the
-/// framing rollout's headline claim: proto 2 moves the same payloads in
-/// at least 2× fewer payload bytes (hex text vs raw binary).
+/// Runs the identical workload once per client protocol and pins the
+/// framing's headline claim: proto 2 moves the same payloads in at least
+/// 2× fewer payload bytes (hex text vs raw binary).
 fn compare_wire(scale: &HarnessScale, profile: Profile) -> (WireRun, WireRun) {
     let p1 = wire_run(scale, profile, PROTO_VERSION);
     let p2 = wire_run(scale, profile, PROTO_V2);
     assert!(
         p1.payload_bytes > 0 && p2.payload_bytes > 0,
-        "both relay runs must move payload bytes (p1 {}, p2 {})",
+        "both client runs must move payload bytes (p1 {}, p2 {})",
         p1.payload_bytes,
         p2.payload_bytes
     );
@@ -761,8 +752,10 @@ fn compare_wire(scale: &HarnessScale, profile: Profile) -> (WireRun, WireRun) {
 }
 
 /// Runs the experiment at the given profile and returns the rendered
-/// report.
-pub fn run_profile(scale: &HarnessScale, profile: Profile) -> String {
+/// report, its `BENCH_cluster.json` object and the
+/// `POSTMORTEM_cluster.journal` text. Only the binaries write the
+/// artifacts, so the smoke test below leaves the committed copies alone.
+pub fn run_profile(scale: &HarnessScale, profile: Profile) -> (String, Json, String) {
     let runs: Vec<RunOutcome> = shard_counts(profile)
         .iter()
         .map(|&n| run_one(scale, profile, n))
@@ -845,7 +838,7 @@ pub fn run_profile(scale: &HarnessScale, profile: Profile) -> String {
 
     let (wire_p1, wire_p2) = compare_wire(scale, profile);
     out.push_str(&format!(
-        "wire — relay payload bytes on an identical checkpoint-heavy \
+        "wire — client payload bytes on an identical checkpoint-heavy \
          workload, proto 1 vs proto 2: {} B vs {} B ({:.2}x); whole \
          lines/frames: {} B vs {} B ({:.2}x)\n",
         wire_p1.payload_bytes,
@@ -946,18 +939,17 @@ pub fn run_profile(scale: &HarnessScale, profile: Profile) -> String {
     if let Some(last) = runs.last() {
         bench.raw("latency_breakdown", latency_breakdown(&last.telemetry));
     }
-    let _ = write_bench_json("cluster", &bench);
-    out
+    (out, bench, chaos.postmortem)
 }
 
 /// Runs the standard-profile experiment.
-pub fn run(scale: &HarnessScale) -> String {
+pub fn run(scale: &HarnessScale) -> (String, Json, String) {
     run_profile(scale, Profile::Standard)
 }
 
 /// Runs the smoke-profile experiment (the `run_all` entry point — the
 /// full-scale cluster run is a standalone binary concern).
-pub fn run_smoke(scale: &HarnessScale) -> String {
+pub fn run_smoke(scale: &HarnessScale) -> (String, Json, String) {
     run_profile(scale, Profile::Smoke)
 }
 
@@ -971,7 +963,7 @@ mod tests {
             samples_per_task: 8,
             ..Default::default()
         };
-        let out = run_profile(&scale, Profile::Smoke);
+        let (out, _, _) = run_profile(&scale, Profile::Smoke);
         assert!(out.contains("=== Cluster"), "missing table:\n{out}");
         assert!(
             out.contains("1 shard(s)") && out.contains("2 shard(s)"),
@@ -1003,7 +995,7 @@ mod tests {
             "chaos drill must assemble the incident trace:\n{out}"
         );
         assert!(
-            out.contains("wire — relay payload bytes"),
+            out.contains("wire — client payload bytes"),
             "the dual-proto wire comparison must be reported:\n{out}"
         );
     }

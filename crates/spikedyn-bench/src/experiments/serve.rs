@@ -22,7 +22,7 @@ use snn_serve::{
 };
 use spikedyn::Method;
 
-use crate::output::{latency_breakdown, pct, write_bench_json, Json, Table};
+use crate::output::{latency_breakdown, pct, Json, Table};
 use crate::scale::HarnessScale;
 
 /// Scale profile of one serve run.
@@ -158,8 +158,9 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
 }
 
 /// Runs the experiment at the given profile and returns the rendered
-/// report.
-pub fn run_profile(scale: &HarnessScale, profile: Profile) -> String {
+/// report and its `BENCH_serve.json` object. Only the binaries write the
+/// artifact, so the smoke test below leaves the committed copy alone.
+pub fn run_profile(scale: &HarnessScale, profile: Profile) -> (String, Json) {
     let n_sessions = sessions(profile);
     let server = SnnServer::start(
         "127.0.0.1:0",
@@ -277,18 +278,17 @@ pub fn run_profile(scale: &HarnessScale, profile: Profile) -> String {
         .int("drift_events", scrape.counter("online.drift_events"))
         .num("total_j", scrape.gauge("serve.total_j"))
         .raw("latency_breakdown", latency_breakdown(&scrape));
-    let _ = write_bench_json("serve", &bench);
-    out
+    (out, bench)
 }
 
 /// Runs the standard-profile experiment.
-pub fn run(scale: &HarnessScale) -> String {
+pub fn run(scale: &HarnessScale) -> (String, Json) {
     run_profile(scale, Profile::Standard)
 }
 
 /// Runs the smoke-profile experiment (the `run_all` entry point — the
 /// full-scale serve run is a standalone binary concern).
-pub fn run_smoke(scale: &HarnessScale) -> String {
+pub fn run_smoke(scale: &HarnessScale) -> (String, Json) {
     run_profile(scale, Profile::Smoke)
 }
 
@@ -302,7 +302,7 @@ mod tests {
             samples_per_task: 8,
             ..Default::default()
         };
-        let out = run_profile(&scale, Profile::Smoke);
+        let (out, _) = run_profile(&scale, Profile::Smoke);
         for i in 0..sessions(Profile::Smoke) {
             assert!(out.contains(&format!("load-{i}")), "missing session {i}");
         }

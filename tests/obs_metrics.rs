@@ -213,7 +213,18 @@ fn a_reply_rid_cluster_traces_to_the_client_observed_latency() {
         .get("rid")
         .expect("routed replies carry their rid")
         .to_string();
-    assert!(rid.starts_with("c0-"), "router-minted rid: {rid}");
+    // Router instances are numbered process-wide, so the prefix is this
+    // router's own instance, whatever sibling tests started first.
+    let metrics = client.call_raw("metrics").unwrap();
+    let instance = snn_serve::protocol::parse_response(&metrics)
+        .expect("well-formed metrics reply")
+        .get("instance")
+        .expect("metrics replies name their instance")
+        .to_string();
+    assert!(
+        rid.starts_with(&format!("{instance}-")),
+        "router-minted rid {rid} carries instance {instance}"
+    );
 
     // …and ask the router to explain it: the merged tree roots at the
     // router's accept span, whose duration is the request as the

@@ -4,13 +4,11 @@
 //! Every client×server protocol pairing is pinned: in-range requests
 //! negotiate and serve, out-of-range requests **fail fast at `hello`**
 //! with a `proto-mismatch` the client can read — never a hang, a
-//! garbled stream, or a silent downgrade. A mixed cluster (one shard
-//! pinned to proto 1, one speaking proto 2) keeps serving, migrating,
-//! and failing over: the relay negotiates per shard.
+//! garbled stream, or a silent downgrade. The router↔shard relay speaks
+//! proto 2 only, so a shard pinned to proto 1 is refused when it tries
+//! to join.
 
-use std::time::{Duration, Instant};
-
-use snn_cluster::{Cluster, ClusterConfig, ClusterLimits};
+use snn_cluster::{Cluster, ClusterConfig, ClusterError, ClusterLimits};
 use snn_data::Image;
 use snn_serve::{ServeClient, ServerConfig, SessionSpec, SnnServer, PROTO_V2, PROTO_VERSION};
 use spikedyn::Method;
@@ -45,18 +43,6 @@ fn proto1_only() -> ServerConfig {
         max_proto: PROTO_VERSION,
         ..ServerConfig::default()
     }
-}
-
-/// Scrapes one router counter by name.
-fn router_counter(client: &mut ServeClient, name: &str) -> u64 {
-    let reply = client.call_raw("cluster-metrics").expect("scrape");
-    let resp = snn_serve::protocol::parse_response(&reply).expect("parses");
-    let hex = resp.get("data").expect("data");
-    let bytes = snn_serve::protocol::hex_decode(hex).expect("hex");
-    let text = String::from_utf8(bytes).expect("utf-8");
-    snn_obs::Snapshot::parse(&text)
-        .expect("exposition")
-        .counter(name)
 }
 
 #[test]
@@ -123,118 +109,34 @@ fn proto1_pinned_router_refuses_proto2_clients_but_serves_proto1() {
 }
 
 #[test]
-fn mixed_cluster_serves_and_migrates_across_a_proto1_pinned_shard() {
+fn proto1_only_shards_are_refused_at_attach_and_spawn() {
     let cluster = Cluster::start("127.0.0.1:0", ClusterConfig::default()).expect("cluster");
-    let modern = cluster.spawn_shard(ServerConfig::default()).expect("shard");
-    let legacy = cluster.spawn_shard(proto1_only()).expect("pinned shard");
-
-    let mut client =
-        ServeClient::connect_with_proto(cluster.local_addr(), PROTO_V2).expect("connect");
-    let full = stream(5, 16);
-    client.open("mix", tiny_spec(5)).expect("open");
-    let mut preds = Vec::new();
-    for chunk in full[..8].chunks(4) {
-        preds.extend(client.ingest("mix", chunk).expect("ingest").predictions);
-    }
-    // Force the session through both shards: the migration checkpoint
-    // crosses a proto 2 relay one way and a proto 1 relay the other.
-    cluster.migrate_session("mix", legacy).expect("to legacy");
-    for chunk in full[8..12].chunks(4) {
-        preds.extend(client.ingest("mix", chunk).expect("ingest").predictions);
-    }
-    cluster.migrate_session("mix", modern).expect("to modern");
-    for chunk in full[12..].chunks(4) {
-        preds.extend(client.ingest("mix", chunk).expect("ingest").predictions);
-    }
-
-    // Bit-exact against a single-process learner despite the mixed
-    // relay framings.
-    let mut reference = snn_online::OnlineLearner::new(tiny_spec(5).online_config());
-    let mut ref_preds = Vec::new();
-    for chunk in full.chunks(4) {
-        ref_preds.extend(reference.ingest_batch(chunk).expect("reference"));
-    }
-    assert_eq!(preds, ref_preds, "mixed-relay predictions");
-    assert_eq!(
-        client.checkpoint("mix").expect("checkpoint"),
-        reference.checkpoint().to_bytes(),
-        "mixed-relay checkpoint must be byte-identical"
-    );
-
-    // Both relay generations actually carried traffic.
-    assert!(
-        router_counter(&mut client, "cluster.relay.p1.tx_bytes") > 0,
-        "the pinned shard was reached over proto 1"
-    );
-    assert!(
-        router_counter(&mut client, "cluster.relay.p2.tx_bytes") > 0,
-        "the modern shard was reached over proto 2"
-    );
-    client.close("mix").expect("close");
-    cluster.shutdown();
-}
-
-#[test]
-fn sessions_fail_over_from_a_killed_proto1_pinned_shard() {
-    let cluster = Cluster::start(
-        "127.0.0.1:0",
-        ClusterConfig {
-            limits: ClusterLimits {
-                health_interval: Duration::from_millis(40),
-                probes_to_kill: 2,
-                shadow_interval: Some(Duration::from_millis(25)),
-                ..ClusterLimits::default()
-            },
-        },
-    )
-    .expect("cluster");
     cluster.spawn_shard(ServerConfig::default()).expect("shard");
-    // The victim is pinned to proto 1 *and* killable: its shadows ride
-    // a proto 1 relay, the failover restore rides proto 2.
-    let external = SnnServer::start("127.0.0.1:0", proto1_only()).expect("victim");
-    let victim = cluster.attach_shard(external.local_addr()).expect("attach");
+    let before = cluster.shard_ids();
 
-    let mut client =
-        ServeClient::connect_with_proto(cluster.local_addr(), PROTO_V2).expect("connect");
-    client.open("f", tiny_spec(9)).expect("open");
-    if cluster.session_shard("f") != Some(victim) {
-        cluster.migrate_session("f", victim).expect("seed victim");
-    }
-    let full = stream(9, 16);
-    client.ingest("f", &full[..8]).expect("first half");
-
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while cluster.session_shadow("f").map(|(_, seq)| seq) != Some(8) {
-        assert!(Instant::now() < deadline, "shadower never parked seq 8");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    external.shutdown();
-
-    let retry_deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        match client.ingest("f", &full[8..]) {
-            Ok(_) => break,
-            Err(e) if Instant::now() < retry_deadline => {
-                let _ = e;
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => panic!("session never recovered: {e}"),
-        }
-    }
-    let now = cluster.session_shard("f");
+    let legacy = SnnServer::start("127.0.0.1:0", proto1_only()).expect("pinned server");
+    let err = cluster
+        .attach_shard(legacy.local_addr())
+        .expect_err("a proto-1-only shard must not attach");
     assert!(
-        now.is_some() && now != Some(victim),
-        "the session must fail over off the dead pinned shard"
+        matches!(err, ClusterError::ProtoMismatch { .. }),
+        "got {err}"
     );
+    let err = cluster
+        .spawn_shard(proto1_only())
+        .expect_err("a proto-1-only shard must not spawn");
+    assert!(
+        matches!(err, ClusterError::ProtoMismatch { .. }),
+        "got {err}"
+    );
+    assert_eq!(cluster.shard_ids(), before, "refused shards never join");
 
-    let mut reference = snn_online::OnlineLearner::new(tiny_spec(9).online_config());
-    reference.ingest_batch(&full[..8]).expect("reference");
-    reference.ingest_batch(&full[8..]).expect("reference");
-    assert_eq!(
-        client.checkpoint("f").expect("checkpoint"),
-        reference.checkpoint().to_bytes(),
-        "failover across protocol generations is bit-exact"
-    );
-    client.close("f").expect("close");
+    // The cluster keeps serving on its proto 2 shard, proto 1 clients
+    // included: only the relay is proto 2 only.
+    let mut client = ServeClient::connect(cluster.local_addr()).expect("proto 1 client");
+    client.open("m", tiny_spec(2)).expect("open");
+    client.ingest("m", &stream(2, 4)).expect("ingest");
+    client.close("m").expect("close");
     cluster.shutdown();
+    legacy.shutdown();
 }
