@@ -16,7 +16,7 @@
 //!   enters the stack and propagated as a trailing `rid=` field on
 //!   forwarded protocol lines; spans recorded at every layer carry it,
 //!   so one client request is traceable across router, shards, and
-//!   scheduler ticks. Spans carrying `phase=`/`parent=` fields assemble
+//!   scheduler workers. Spans carrying `phase=`/`parent=` fields assemble
 //!   into parent-linked [`TraceTree`]s with a versioned `# snn-trace v1`
 //!   codec and a deterministic critical-path report (`DESIGN.md` §14).
 //! * **Exemplars** ([`Exemplar`]): per-histogram tail-latency exemplars
@@ -64,7 +64,7 @@ mod hammer {
     use std::sync::Mutex;
 
     // The vendored rayon exposes by-ref `par_iter`; drive the atomics
-    // from many workers through take-once slots like the scheduler does.
+    // from many workers through take-once slots.
     #[test]
     fn concurrent_counter_and_histogram_increments_are_exact() {
         const WORKERS: usize = 16;

@@ -14,11 +14,13 @@
 //! * **Admission control and backpressure** — a hard session cap and a
 //!   bounded per-session job queue that rejects (never buffers) overload;
 //!   see [`ServeLimits`] and `DESIGN.md` §8 for the exact rules.
-//! * **Cross-session micro-batching** — a tick scheduler drains every
-//!   ready session per tick and runs them in parallel over **one shared
-//!   warm `snn-runtime` replica pool**
+//! * **Work-conserving scheduling** — one persistent worker per core
+//!   checks out whichever session became ready first, runs at most
+//!   [`ServeLimits::max_jobs_per_tick`] of its jobs and hands it straight
+//!   back, so no session waits for another's work to end; every session
+//!   runs over **one shared warm `snn-runtime` replica pool**
 //!   ([`snn_runtime::Engine::from_network_shared`]), so the replica
-//!   working set is bounded by peak concurrency, not session count.
+//!   working set is bounded by the worker count, not session count.
 //! * **Durability over the wire** — `checkpoint` streams out the full
 //!   [`snn_online::ModelSnapshot`]; `restore` opens a new session from
 //!   one; `swap` hot-swaps a *running* session onto one without
@@ -30,8 +32,8 @@
 //! ## Determinism over the wire
 //!
 //! Serving changes *where* a learner runs, not *what* it computes: a
-//! session fed a stream over TCP — however its ticks interleave with
-//! other sessions — produces bit-identical predictions and checkpoints
+//! session fed a stream over TCP — however its checkouts interleave with
+//! other sessions' — produces bit-identical predictions and checkpoints
 //! to a single-process [`snn_online::OnlineLearner`] fed the same
 //! batches, and a session restored from a wire checkpoint finishes
 //! bit-identical to one that never paused. Pinned by this crate's tests
@@ -420,6 +422,61 @@ mod tests {
             "truncated close must not have executed"
         );
         client.close("keep").unwrap();
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_running_session_never_holds_up_another_sessions_reply() {
+        // `slow`'s long ingest occupies one scheduler worker; `fast` must
+        // be answered by another while it runs, not after it.
+        if rayon::current_num_threads() < 2 {
+            eprintln!("skipped: one scheduler worker cannot overlap two sessions");
+            return;
+        }
+        let server = start_server(ServeLimits::default());
+        let mut client = ServeClient::connect(server.local_addr()).unwrap();
+        client.open("slow", SessionSpec::default()).unwrap();
+        client.open("fast", tiny_spec(1)).unwrap();
+        let ticks = server.stats().ticks;
+
+        let gen = SyntheticDigits::new(11);
+        let batch: Vec<Image> = (0..256u64)
+            .map(|i| gen.sample((i % 4) as u8, i).downsample(2))
+            .collect();
+        let addr = server.local_addr();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let slow = std::thread::spawn(move || {
+            let mut client = ServeClient::connect(addr).unwrap();
+            let outcome = client.ingest("slow", &batch).unwrap();
+            done_tx.send(outcome.samples_seen).unwrap();
+        });
+        // The checkout counter moved and nothing is queued: `slow` is
+        // checked out and its ingest is running.
+        let t0 = std::time::Instant::now();
+        loop {
+            let stats = server.stats();
+            if stats.ticks > ticks && stats.queued_jobs == 0 {
+                break;
+            }
+            assert!(
+                t0.elapsed() < std::time::Duration::from_secs(60),
+                "slow's ingest was never checked out"
+            );
+            std::thread::yield_now();
+        }
+
+        assert_eq!(client.report("fast").unwrap().samples, 0);
+        assert!(
+            done_rx.try_recv().is_err(),
+            "fast's report waited for slow's ingest to finish"
+        );
+        assert_eq!(
+            server.stats().total_samples,
+            0,
+            "slow's checkout ended before fast was answered"
+        );
+        assert_eq!(done_rx.recv().unwrap(), 256);
+        slow.join().unwrap();
         server.shutdown();
     }
 

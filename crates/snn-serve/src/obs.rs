@@ -73,8 +73,8 @@ pub(crate) struct ServeObs {
     /// (see [`ServeObs::subscriber`]).
     pub(crate) subscribe_drops: Arc<Counter>,
     /// `serve.phase.queue_wait_us` — time a job sat in its session queue
-    /// between submit and its scheduler tick (the queue-wait phase of
-    /// the request trace).
+    /// between submit and its session's checkout by a scheduler worker
+    /// (the queue-wait phase of the request trace).
     pub(crate) queue_wait_us: Arc<Histogram>,
     /// `serve.phase.exec_us` — engine compute time per job (the exec
     /// phase of the request trace).
@@ -88,9 +88,10 @@ pub(crate) struct ServeObs {
     /// `serve.wire.p2.writer_queue` — response/push frames queued at the
     /// proto 2 writer threads, not yet on the socket.
     pub(crate) writer_queue: Arc<Gauge>,
-    /// `serve.tick_us` — scheduler tick wall time.
+    /// `serve.tick_us` — wall time of one checkout: a worker running one
+    /// session's jobs (the name predates the per-session scheduler).
     pub(crate) tick_us: Arc<Histogram>,
-    /// `serve.tick.jobs` — jobs executed per tick.
+    /// `serve.tick.jobs` — jobs executed per checkout.
     pub(crate) tick_jobs: Arc<Histogram>,
     /// `serve.session.retired_mj` — per-session modelled millijoules
     /// spent on this server, recorded when the session closes or evicts.
@@ -105,7 +106,7 @@ pub(crate) struct ServeObs {
     /// See [`ServeObs::decode_us`].
     pub(crate) decode_bytes: Arc<Histogram>,
     /// `runtime.infer.batches` / `.samples` / `.busy_us` — engine work,
-    /// fed by per-tick deltas of each learner's engine counters.
+    /// fed by per-checkout deltas of each learner's engine counters.
     pub(crate) infer_batches: Arc<Counter>,
     /// See [`ServeObs::infer_batches`].
     pub(crate) infer_samples: Arc<Counter>,

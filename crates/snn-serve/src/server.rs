@@ -1,11 +1,11 @@
 //! The TCP front end: thread-per-connection line server.
 //!
 //! [`SnnServer::start`] binds a listener and spawns two long-lived
-//! threads — the accept loop and the tick scheduler
-//! ([`crate::scheduler`]). Each accepted connection gets its own thread
-//! that reads requests line by line, dispatches them against the shared
-//! [`SessionManager`], and writes one response line per request, in
-//! order. Connection threads hold no session state: a client may spread
+//! threads — the accept loop and the scheduler ([`crate::scheduler`]),
+//! which runs one persistent worker per core. Each accepted connection
+//! gets its own thread that reads requests line by line, dispatches them
+//! against the shared [`SessionManager`], and writes one response line
+//! per request, in order. Connection threads hold no session state: a client may spread
 //! one session's requests over several connections or multiplex several
 //! sessions on one connection, and ordering is still per-session FIFO
 //! (the registry queues are the only ordering authority).

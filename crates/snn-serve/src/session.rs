@@ -3,13 +3,16 @@
 //!
 //! The [`SessionManager`] owns every session's [`OnlineLearner`] plus a
 //! bounded FIFO of pending jobs. Connection threads *submit* jobs and
-//! block on a reply channel; the scheduler *takes* every ready session's
-//! drained queue as one tick of work (`SessionManager::take_work`),
-//! executes ticks cross-session in parallel, and returns learners via
-//! `SessionManager::finish`. A session whose learner is checked out is
-//! simply not ready — its queue keeps absorbing jobs (up to the bound)
-//! and is picked up next tick, so per-session FIFO order is preserved
-//! while different sessions proceed concurrently.
+//! block on a reply channel. A session with queued jobs and its learner
+//! at home waits, exactly once, on a FIFO *ready queue*; each scheduler
+//! worker checks one session out (`SessionManager::take_unit`), runs up
+//! to `max_jobs_per_tick` of its jobs in order and hands the learner
+//! back (`SessionManager::finish`), which requeues the session if jobs
+//! remain. A session whose learner is checked out is simply not ready —
+//! its queue keeps absorbing jobs (up to the bound) and rejoins the back
+//! of the ready queue when the learner returns, so per-session FIFO order
+//! is preserved while different sessions proceed concurrently and none
+//! waits for another session's checkout to end.
 //!
 //! ## Admission and backpressure rules
 //!
@@ -48,9 +51,10 @@ pub struct ServeLimits {
     pub queue_capacity: usize,
     /// Maximum samples per `ingest` request.
     pub max_batch: usize,
-    /// Fairness cap: at most this many jobs of one session run per tick;
-    /// the remainder stays queued and round-robins into later ticks, so a
-    /// chatty session cannot stretch a tick's wall-clock for everyone.
+    /// Fairness cap: at most this many jobs of one session run per
+    /// checkout; the remainder stays queued and the session rejoins the
+    /// back of the ready queue, so a chatty session cannot hold a
+    /// scheduler worker while other sessions wait.
     pub max_jobs_per_tick: usize,
     /// Evict sessions idle for this long (checkpoint to the server's
     /// evict directory, free the learner). `None` disables the sweep;
@@ -79,7 +83,9 @@ pub struct ServerStats {
     pub max_sessions: usize,
     /// Jobs queued across all sessions right now.
     pub queued_jobs: usize,
-    /// Scheduler ticks run so far (one tick = one cross-session batch).
+    /// Scheduler checkouts so far (one checkout = one session's learner
+    /// plus up to `max_jobs_per_tick` of its jobs). Named `ticks` on the
+    /// wire, where the field predates the per-session scheduler.
     pub ticks: u64,
     /// Stream samples ingested across all sessions.
     pub total_samples: u64,
@@ -295,9 +301,9 @@ struct SessionEntry {
     learner: Option<OnlineLearner>,
     queue: VecDeque<Envelope>,
     closing: bool,
-    /// Last submit or tick completion; drives the idle-eviction sweep.
+    /// Last submit or checkout completion; drives the idle-eviction sweep.
     last_active: Instant,
-    /// Modelled joules at the end of the session's last tick. Cumulative
+    /// Modelled joules at the end of the session's last checkout. Cumulative
     /// from the learner's birth — op counters survive checkpoints, so a
     /// restored session carries its history here.
     joules: f64,
@@ -317,9 +323,32 @@ struct Registry {
     /// Joules expended *on this server* by sessions that have closed or
     /// been evicted (final minus admission baseline, per session).
     retired_j: f64,
+    /// Sessions waiting for a scheduler worker, in the order they became
+    /// ready. A live session's id is here exactly once while its learner
+    /// is home and its queue is non-empty.
+    ready: VecDeque<String>,
     shutdown: bool,
     ticks: u64,
     total_samples: u64,
+}
+
+impl Registry {
+    /// Checks out the front of the ready queue, skipping ids whose session
+    /// has since gone (closed or evicted).
+    fn pop_ready(&mut self, per_unit: usize) -> Option<WorkUnit> {
+        while let Some(id) = self.ready.pop_front() {
+            let Some(entry) = self.sessions.get_mut(&id) else {
+                continue;
+            };
+            let Some(learner) = entry.learner.take() else {
+                continue;
+            };
+            let take = entry.queue.len().min(per_unit);
+            let jobs = entry.queue.drain(..take).collect();
+            return Some(WorkUnit { id, learner, jobs });
+        }
+        None
+    }
 }
 
 /// Bound on shadow checkpoints held per server (the `shadow` verb's
@@ -362,25 +391,22 @@ impl SessionManager {
                 sessions: HashMap::new(),
                 evicted: HashMap::new(),
                 retired_j: 0.0,
+                ready: VecDeque::new(),
                 shutdown: false,
                 ticks: 0,
                 total_samples: 0,
             }),
             work_ready: Condvar::new(),
-            // Bounded to peak concurrent demand: a tick runs up to
-            // `cores` sessions in parallel and each session's engine
-            // fans its batch out over up to `cores` workers (the
-            // vendored rayon spawns scoped threads per call — the
-            // fan-outs nest rather than share), so ~cores² replicas can
-            // be live at once. The clamp keeps the idle working set from
-            // growing with session or stale-architecture count over the
-            // server's lifetime; under oversubscription beyond the cap,
-            // restores drop and later batches re-clone (bounded memory
-            // over clone avoidance).
+            // Bounded to peak concurrent demand: each scheduler worker
+            // runs one session at a time and that session's engine runs
+            // its batch on the worker (nested fan-outs do not spawn), so
+            // about one replica per worker is live at once. The clamp
+            // keeps the idle working set from growing with session or
+            // stale-architecture count over the server's lifetime; under
+            // demand beyond the cap, restores drop and later batches
+            // re-clone (bounded memory over clone avoidance).
             pool: std::sync::Arc::new(ReplicaPool::with_capacity(
-                rayon::current_num_threads()
-                    .saturating_mul(rayon::current_num_threads())
-                    .clamp(8, 128),
+                rayon::current_num_threads().clamp(8, 128),
             )),
             limits,
             gpu,
@@ -529,72 +555,46 @@ impl SessionManager {
             entry.closing = true;
         }
         entry.last_active = Instant::now();
+        // A checked-out session is requeued by `finish`; one already
+        // queued is ready already.
+        let became_ready = entry.queue.is_empty() && entry.learner.is_some();
         entry.queue.push_back(Envelope {
             job,
             rid: rid.to_string(),
             reply,
             enqueued: Instant::now(),
         });
+        if became_ready {
+            state.ready.push_back(id.to_string());
+        }
         drop(state);
-        self.work_ready.notify_all();
+        if became_ready {
+            self.work_ready.notify_one();
+        }
         Ok(())
     }
 
-    /// Blocks until at least one session is ready (learner present and
-    /// queue non-empty), then takes up to `max_jobs_per_tick` jobs from
-    /// **every** ready session as one tick of work; a longer queue keeps
-    /// its remainder and becomes ready again next tick (round-robin
-    /// across ticks, so one chatty session cannot monopolise a tick).
-    /// With idle eviction configured, sessions idle past the timeout are
-    /// turned into eviction work on the same ticks. Returns `None` only
-    /// at shutdown with no work left, so pending jobs always drain before
-    /// the scheduler exits.
-    pub(crate) fn take_work(&self) -> Option<Vec<WorkUnit>> {
-        let per_tick = self.limits.max_jobs_per_tick.max(1);
+    /// Blocks until a session is ready, then checks out the one that has
+    /// waited longest: its learner plus up to `max_jobs_per_tick` of its
+    /// queued jobs, in order. When nothing is ready and idle eviction is
+    /// configured, the session idle longest past the timeout is checked
+    /// out with a synthesised eviction job instead. Returns `None` only at
+    /// shutdown with nothing ready, so pending jobs always drain before
+    /// the workers exit.
+    pub(crate) fn take_unit(&self) -> Option<WorkUnit> {
+        let per_unit = self.limits.max_jobs_per_tick.max(1);
         let sweep = match (self.limits.idle_timeout, &self.evict_dir) {
             (Some(timeout), Some(_)) => Some(timeout),
             _ => None,
         };
         let mut state = self.state.lock().expect("session registry poisoned");
         loop {
-            let mut units = Vec::new();
-            for (id, entry) in state.sessions.iter_mut() {
-                if entry.learner.is_none() {
-                    continue;
-                }
-                if !entry.queue.is_empty() {
-                    let take = entry.queue.len().min(per_tick);
-                    units.push(WorkUnit {
-                        id: id.clone(),
-                        learner: entry.learner.take().expect("checked is_some"),
-                        jobs: entry.queue.drain(..take).collect(),
-                    });
-                } else if let Some(timeout) = sweep {
-                    if !entry.closing && entry.last_active.elapsed() >= timeout {
-                        // Synthesised eviction: the reply receiver is
-                        // dropped immediately — nobody waits on a sweep.
-                        let (reply, _) = mpsc::channel();
-                        units.push(WorkUnit {
-                            id: id.clone(),
-                            learner: entry.learner.take().expect("checked is_some"),
-                            jobs: vec![Envelope {
-                                job: Job::Evict,
-                                // Sweeps originate server-side; mint a rid
-                                // so the eviction span is still traceable.
-                                rid: self.obs.registry.mint_rid(),
-                                reply,
-                                enqueued: Instant::now(),
-                            }],
-                        });
-                    }
-                }
-            }
-            if !units.is_empty() {
+            let unit = state
+                .pop_ready(per_unit)
+                .or_else(|| sweep.and_then(|t| self.idle_victim(&mut state, t)));
+            if unit.is_some() {
                 state.ticks += 1;
-                // Deterministic processing order for logs/tests (HashMap
-                // iteration order is arbitrary).
-                units.sort_by(|a, b| a.id.cmp(&b.id));
-                return Some(units);
+                return unit;
             }
             if state.shutdown {
                 return None;
@@ -618,60 +618,87 @@ impl SessionManager {
         }
     }
 
-    /// Returns learners after a tick, removes closed or evicted sessions
-    /// (answering any jobs that raced in behind the close/evict), and
-    /// wakes the scheduler if queues refilled while their learners were
-    /// checked out.
-    pub(crate) fn finish(&self, finished: Vec<FinishedUnit>) {
+    /// Checks out the session idle longest past `timeout` with a
+    /// synthesised eviction job. Only called with nothing ready, so every
+    /// session whose learner is home has an empty queue.
+    fn idle_victim(&self, state: &mut Registry, timeout: Duration) -> Option<WorkUnit> {
+        let (id, entry) = state
+            .sessions
+            .iter_mut()
+            .filter(|(_, e)| {
+                e.learner.is_some() && !e.closing && e.last_active.elapsed() >= timeout
+            })
+            .min_by_key(|(_, e)| e.last_active)?;
+        // The reply receiver is dropped immediately: nobody waits on a
+        // sweep.
+        let (reply, _) = mpsc::channel();
+        Some(WorkUnit {
+            id: id.clone(),
+            learner: entry.learner.take().expect("filtered on is_some"),
+            jobs: vec![Envelope {
+                job: Job::Evict,
+                // Sweeps originate server-side; mint a rid so the
+                // eviction span is still traceable.
+                rid: self.obs.registry.mint_rid(),
+                reply,
+                enqueued: Instant::now(),
+            }],
+        })
+    }
+
+    /// Returns a checked-out session's learner, requeueing the session if
+    /// its queue refilled while the learner was out, or removes a session
+    /// that closed or evicted (answering any jobs that raced in behind the
+    /// close/evict). A requeue wakes no one: the calling worker's next
+    /// `take_unit` finds it.
+    pub(crate) fn finish(&self, unit: FinishedUnit) {
         let mut deferred = Vec::new();
         let mut state = self.state.lock().expect("session registry poisoned");
-        for unit in finished {
-            state.total_samples += unit.samples_delta;
-            match unit.learner {
-                Some(learner) => {
-                    if let Some(entry) = state.sessions.get_mut(&unit.id) {
-                        entry.learner = Some(learner);
-                        entry.joules = unit.joules;
-                        // A hot swap replaces the learner's cumulative op
-                        // counters wholesale; shifting the baseline by the
-                        // jump keeps `joules - baseline_j` — the session's
-                        // spend on THIS server — continuous across it.
-                        entry.baseline_j += unit.baseline_shift;
-                        entry.last_active = Instant::now();
-                    }
-                }
-                None => {
-                    if let Some(path) = unit.evicted.clone() {
-                        self.obs.evictions.inc();
-                        state.evicted.insert(unit.id.clone(), path);
-                    }
-                    if let Some(entry) = state.sessions.remove(&unit.id) {
-                        let spent_j = unit.joules - (entry.baseline_j + unit.baseline_shift);
-                        self.obs
-                            .retired_mj
-                            .record((spent_j.max(0.0) * 1e3).round() as u64);
-                        state.retired_j += spent_j;
-                        for envelope in entry.queue {
-                            let err = match &unit.evicted {
-                                Some(path) => {
-                                    ServeError::SessionEvicted(path.display().to_string())
-                                }
-                                None => ServeError::SessionClosing(unit.id.clone()),
-                            };
-                            deferred.push((envelope.reply, Err(err)));
-                        }
+        state.total_samples += unit.samples_delta;
+        match unit.learner {
+            Some(learner) => {
+                if let Some(entry) = state.sessions.get_mut(&unit.id) {
+                    entry.learner = Some(learner);
+                    entry.joules = unit.joules;
+                    // A hot swap replaces the learner's cumulative op
+                    // counters wholesale; shifting the baseline by the
+                    // jump keeps `joules - baseline_j` — the session's
+                    // spend on THIS server — continuous across it.
+                    entry.baseline_j += unit.baseline_shift;
+                    entry.last_active = Instant::now();
+                    if !entry.queue.is_empty() {
+                        state.ready.push_back(unit.id);
                     }
                 }
             }
-            deferred.extend(unit.deferred);
+            None => {
+                if let Some(path) = unit.evicted.clone() {
+                    self.obs.evictions.inc();
+                    state.evicted.insert(unit.id.clone(), path);
+                }
+                if let Some(entry) = state.sessions.remove(&unit.id) {
+                    let spent_j = unit.joules - (entry.baseline_j + unit.baseline_shift);
+                    self.obs
+                        .retired_mj
+                        .record((spent_j.max(0.0) * 1e3).round() as u64);
+                    state.retired_j += spent_j;
+                    for envelope in entry.queue {
+                        let err = match &unit.evicted {
+                            Some(path) => ServeError::SessionEvicted(path.display().to_string()),
+                            None => ServeError::SessionClosing(unit.id.clone()),
+                        };
+                        deferred.push((envelope.reply, Err(err)));
+                    }
+                }
+            }
         }
+        deferred.extend(unit.deferred);
         drop(state);
         // Close-path replies go out only now, after the registry update:
         // a client holding its `close` reply can reuse the id at once.
         for (reply, result) in deferred {
             let _ = reply.send(result);
         }
-        self.work_ready.notify_all();
     }
 
     /// Stores a shadow checkpoint for `id` without opening a session.
@@ -900,28 +927,41 @@ mod tests {
     }
 
     #[test]
-    fn take_work_drains_every_ready_session_in_one_tick() {
-        let m = manager(4, 4);
+    fn sessions_are_checked_out_in_the_order_they_became_ready() {
+        let m = manager(4, 8);
         m.open("a", &tiny_spec()).unwrap();
         m.open("b", &tiny_spec()).unwrap();
+        m.open("c", &tiny_spec()).unwrap();
         let (tx, _rx) = mpsc::channel();
-        m.submit("a", Job::Report, "", tx.clone()).unwrap();
         m.submit("b", Job::Report, "", tx.clone()).unwrap();
-        m.submit("b", Job::Checkpoint, "", tx).unwrap();
-        let units = m.take_work().unwrap();
-        assert_eq!(units.len(), 2, "both sessions in one tick");
-        assert_eq!(units[0].id, "a");
-        assert_eq!(units[1].id, "b");
-        assert_eq!(units[1].jobs.len(), 2, "whole queue drained");
-        assert_eq!(m.stats().queued_jobs, 0);
-        assert_eq!(m.stats().ticks, 1);
+        m.submit("a", Job::Report, "", tx.clone()).unwrap();
+        m.submit("a", Job::Checkpoint, "", tx.clone()).unwrap();
+        for _ in 0..5 {
+            m.submit("c", Job::Report, "", tx.clone()).unwrap();
+        }
+        // Readiness order, not id order.
+        let b = m.take_unit().unwrap();
+        assert_eq!((b.id.as_str(), b.jobs.len()), ("b", 1));
+        let a = m.take_unit().unwrap();
+        assert_eq!(a.id, "a");
+        assert_eq!(a.jobs.len(), 2, "whole queue drained");
+        let c = m.take_unit().unwrap();
+        assert_eq!(c.id, "c");
+        assert_eq!(
+            c.jobs.len(),
+            ServeLimits::default().max_jobs_per_tick,
+            "capped at max_jobs_per_tick"
+        );
+        assert_eq!(m.stats().queued_jobs, 1);
+        assert_eq!(m.stats().ticks, 3, "one tick per checkout");
     }
 
     #[test]
-    fn chatty_session_cannot_monopolise_a_tick() {
+    fn chatty_session_cannot_monopolise_the_workers() {
         // A session with a deep queue gets at most max_jobs_per_tick jobs
-        // per tick; the quiet session still rides the same tick, and the
-        // chatty remainder round-robins into later ticks.
+        // per checkout; a quiet session that became ready meanwhile is
+        // checked out before the chatty remainder, which rejoins the back
+        // of the ready queue when its learner comes home.
         let m = SessionManager::new(
             ServeLimits {
                 max_sessions: 4,
@@ -941,30 +981,34 @@ mod tests {
         }
         m.submit("quiet", Job::Report, "", tx).unwrap();
 
-        let units = m.take_work().unwrap();
-        assert_eq!(units.len(), 2, "both sessions share the tick");
-        let chatty = units.iter().find(|u| u.id == "chatty").unwrap();
+        let chatty = m.take_unit().unwrap();
+        assert_eq!(chatty.id, "chatty");
         assert_eq!(chatty.jobs.len(), 2, "chatty capped at max_jobs_per_tick");
+        m.finish(crate::scheduler::execute_unit(chatty, &m));
+        let quiet = m.take_unit().unwrap();
+        assert_eq!(quiet.id, "quiet", "quiet goes before chatty's remainder");
         assert_eq!(
             m.stats().queued_jobs,
             4,
-            "the remainder stays queued for later ticks"
+            "the remainder stays queued for later checkouts"
         );
+        let rest = m.take_unit().unwrap();
+        assert_eq!((rest.id.as_str(), rest.jobs.len()), ("chatty", 2));
     }
 
     #[test]
-    fn shutdown_unblocks_take_work_after_draining() {
+    fn shutdown_unblocks_take_unit_after_draining() {
         let m = std::sync::Arc::new(manager(2, 4));
         m.open("a", &tiny_spec()).unwrap();
         let (tx, _rx) = mpsc::channel();
         m.submit("a", Job::Report, "", tx).unwrap();
         m.shutdown();
         // Pending work still comes out...
-        let units = m.take_work().unwrap();
-        assert_eq!(units.len(), 1);
+        let unit = m.take_unit().unwrap();
+        assert_eq!((unit.id.as_str(), unit.jobs.len()), ("a", 1));
         // ...then the queue reports empty-and-done. (The learner is still
         // checked out, so nothing is ready either way.)
-        assert!(m.take_work().is_none());
+        assert!(m.take_unit().is_none());
         assert!(matches!(
             m.open("b", &tiny_spec()),
             Err(ServeError::Shutdown)

@@ -233,7 +233,7 @@ pub fn run_profile(scale: &HarnessScale, profile: Profile) -> (String, Json) {
     out.push_str(&format!(
         "aggregate — {} sessions, {} samples in {:.2}s = {:.0} samples/s; \
          ingest latency p50 {:.2} ms, p95 {:.2} ms, max {:.2} ms; \
-         {} scheduler ticks ({:.1} sessions/tick cross-session batching)\n",
+         {} scheduler checkouts ({:.1} ingests/checkout)\n",
         n_sessions,
         total_samples,
         wall.as_secs_f64(),
