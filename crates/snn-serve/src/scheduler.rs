@@ -417,6 +417,70 @@ mod tests {
     }
 
     #[test]
+    fn idle_sessions_are_evicted_while_every_worker_stays_busy() {
+        // One busy session per worker, each fed so its queue never
+        // empties: the ready queue never drains and no worker ever waits.
+        // The idle session must still be swept within its timeout.
+        let dir =
+            std::env::temp_dir().join(format!("snn-serve-sched-{}-busy-sweep", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let timeout = std::time::Duration::from_millis(200);
+        let manager = Arc::new(SessionManager::new(
+            ServeLimits {
+                idle_timeout: Some(timeout),
+                ..ServeLimits::default()
+            },
+            GpuSpec::gtx_1080_ti(),
+            Some(dir.clone()),
+        ));
+        let busy = rayon::current_num_threads();
+        manager.open("idle", &tiny_spec(99)).unwrap();
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let feeders: Vec<_> = (0..busy as u64)
+            .map(|b| {
+                let id = format!("busy{b}");
+                manager.open(&id, &tiny_spec(b)).unwrap();
+                let (manager, stop) = (Arc::clone(&manager), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    let (tx, rx) = mpsc::channel();
+                    let images = batch(b, 16);
+                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        // Top the queue up to its bound, then wait for one
+                        // reply: a checkout takes at most half the queue.
+                        match manager.submit(&id, Job::Ingest(images.clone()), "", tx.clone()) {
+                            Ok(()) => {}
+                            Err(ServeError::Backpressure { .. }) => {
+                                assert!(matches!(rx.recv().unwrap(), Ok(JobOutput::Ingested(..))));
+                            }
+                            Err(e) => panic!("busy session refused a job: {e}"),
+                        }
+                    }
+                })
+            })
+            .collect();
+        let scheduler = start(&manager);
+
+        let t0 = std::time::Instant::now();
+        while manager.stats().evicted_sessions == 0 {
+            assert!(
+                t0.elapsed() < timeout * 25,
+                "the idle session was never swept while the workers were busy"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        assert_eq!(manager.stats().sessions, busy, "only the idle session went");
+        assert!(dir.join("idle.sdyn").exists(), "sweep checkpoint on disk");
+
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        for feeder in feeders {
+            feeder.join().unwrap();
+        }
+        manager.shutdown();
+        scheduler.join().unwrap();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
     fn swap_rejects_garbage_and_keeps_serving() {
         let manager = Arc::new(SessionManager::new(
             ServeLimits::default(),

@@ -325,29 +325,36 @@ struct Registry {
     retired_j: f64,
     /// Sessions waiting for a scheduler worker, in the order they became
     /// ready. A live session's id is here exactly once while its learner
-    /// is home and its queue is non-empty.
+    /// is home and its queue is non-empty, and never otherwise: `submit`
+    /// and `finish` push only in that state, and a session leaves the
+    /// registry only at the end of a checkout, whose id was popped (or,
+    /// for an idle victim, never pushed).
     ready: VecDeque<String>,
+    /// When the idle-eviction sweep is next due (unused while eviction is
+    /// off). Checked on every `take_unit`, busy or not, so a steady stream
+    /// of ready sessions cannot postpone it.
+    next_sweep: Instant,
     shutdown: bool,
     ticks: u64,
     total_samples: u64,
 }
 
 impl Registry {
-    /// Checks out the front of the ready queue, skipping ids whose session
-    /// has since gone (closed or evicted).
+    /// Checks out the front of the ready queue.
     fn pop_ready(&mut self, per_unit: usize) -> Option<WorkUnit> {
-        while let Some(id) = self.ready.pop_front() {
-            let Some(entry) = self.sessions.get_mut(&id) else {
-                continue;
-            };
-            let Some(learner) = entry.learner.take() else {
-                continue;
-            };
-            let take = entry.queue.len().min(per_unit);
-            let jobs = entry.queue.drain(..take).collect();
-            return Some(WorkUnit { id, learner, jobs });
-        }
-        None
+        let id = self.ready.pop_front()?;
+        let entry = self
+            .sessions
+            .get_mut(&id)
+            .expect("a ready id names a live session");
+        let learner = entry
+            .learner
+            .take()
+            .expect("a ready session's learner is home");
+        assert!(!entry.queue.is_empty(), "a ready session has jobs queued");
+        let take = entry.queue.len().min(per_unit);
+        let jobs = entry.queue.drain(..take).collect();
+        Some(WorkUnit { id, learner, jobs })
     }
 }
 
@@ -392,6 +399,7 @@ impl SessionManager {
                 evicted: HashMap::new(),
                 retired_j: 0.0,
                 ready: VecDeque::new(),
+                next_sweep: Instant::now(),
                 shutdown: false,
                 ticks: 0,
                 total_samples: 0,
@@ -576,9 +584,9 @@ impl SessionManager {
 
     /// Blocks until a session is ready, then checks out the one that has
     /// waited longest: its learner plus up to `max_jobs_per_tick` of its
-    /// queued jobs, in order. When nothing is ready and idle eviction is
-    /// configured, the session idle longest past the timeout is checked
-    /// out with a synthesised eviction job instead. Returns `None` only at
+    /// queued jobs, in order. When idle eviction is configured and the
+    /// sweep is due, the session idle longest past the timeout is checked
+    /// out first, with a synthesised eviction job. Returns `None` only at
     /// shutdown with nothing ready, so pending jobs always drain before
     /// the workers exit.
     pub(crate) fn take_unit(&self) -> Option<WorkUnit> {
@@ -589,22 +597,31 @@ impl SessionManager {
         };
         let mut state = self.state.lock().expect("session registry poisoned");
         loop {
-            let unit = state
-                .pop_ready(per_unit)
-                .or_else(|| sweep.and_then(|t| self.idle_victim(&mut state, t)));
-            if unit.is_some() {
+            let mut unit = None;
+            if let Some(timeout) = sweep {
+                if Instant::now() >= state.next_sweep {
+                    unit = self.idle_victim(&mut state, timeout);
+                    // A victim keeps the sweep due, so the next checkout
+                    // looks for another. Otherwise look again after a nap
+                    // of at most a quarter of the timeout, which bounds
+                    // how far eviction lags it.
+                    if unit.is_none() {
+                        state.next_sweep =
+                            Instant::now() + (timeout / 4).min(Duration::from_millis(250));
+                    }
+                }
+            }
+            if let Some(unit) = unit.or_else(|| state.pop_ready(per_unit)) {
                 state.ticks += 1;
-                return unit;
+                return Some(unit);
             }
             if state.shutdown {
                 return None;
             }
             state = match sweep {
-                // The sweep needs periodic wake-ups even when no job ever
-                // arrives; bound the nap so eviction lags the timeout by
-                // at most ~a quarter of it.
-                Some(timeout) => {
-                    let nap = (timeout / 4).min(Duration::from_millis(250));
+                // The sweep needs a wake-up even when no job ever arrives.
+                Some(_) => {
+                    let nap = state.next_sweep.saturating_duration_since(Instant::now());
                     self.work_ready
                         .wait_timeout(state, nap)
                         .expect("session registry poisoned")
@@ -619,14 +636,18 @@ impl SessionManager {
     }
 
     /// Checks out the session idle longest past `timeout` with a
-    /// synthesised eviction job. Only called with nothing ready, so every
-    /// session whose learner is home has an empty queue.
+    /// synthesised eviction job. Only sessions with their learner home and
+    /// an empty queue qualify, so a victim is never in the ready queue and
+    /// no queued job is answered with an eviction.
     fn idle_victim(&self, state: &mut Registry, timeout: Duration) -> Option<WorkUnit> {
         let (id, entry) = state
             .sessions
             .iter_mut()
             .filter(|(_, e)| {
-                e.learner.is_some() && !e.closing && e.last_active.elapsed() >= timeout
+                e.learner.is_some()
+                    && e.queue.is_empty()
+                    && !e.closing
+                    && e.last_active.elapsed() >= timeout
             })
             .min_by_key(|(_, e)| e.last_active)?;
         // The reply receiver is dropped immediately: nobody waits on a
