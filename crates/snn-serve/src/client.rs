@@ -3,9 +3,9 @@
 //! [`ServeClient`] wraps one TCP connection: each call writes a request
 //! line, blocks for the one response line, and lifts it into typed Rust
 //! values (or [`ClientError::Server`] carrying the wire error code). The
-//! experiment load generator, the integration tests and external tools
-//! all speak through this type, so the protocol has exactly one
-//! client-side encoder/decoder.
+//! router, the integration tests, the benches and external tools all
+//! speak through this type, so the protocol has exactly one client-side
+//! encoder/decoder.
 //!
 //! The negotiated transport is invisible above [`ServeClient::call_raw`]:
 //! proto 1 writes LF-terminated lines, proto 2

@@ -246,7 +246,8 @@ pub fn run_mux<R: io::Read, H: MuxHost>(
             };
             let response = line_to_frame(&response_line, tag, 0);
             host.on_wire(rx_bytes, wire_len(&response));
-            let _ = out_tx.send(response);
+            // Retire the tag before its response is queued: a client may
+            // reuse a tag as soon as the response lands.
             let (set, cv) = &*inflight;
             let remaining = {
                 let mut set = set.lock().expect("inflight lock");
@@ -254,6 +255,7 @@ pub fn run_mux<R: io::Read, H: MuxHost>(
                 set.len() as u64
             };
             cv.notify_one();
+            let _ = out_tx.send(response);
             host.on_flow(remaining, out_tx.depth.load(Ordering::Relaxed));
         });
     };

@@ -1,10 +1,8 @@
 //! Runs every table/figure reproduction in sequence (the full evaluation
 //! of the paper). Accepts the same scale flags as the individual binaries.
 use spikedyn_bench::experiments::{
-    ablations, cluster, fig01, fig04, fig05, fig06, fig09, fig10, fig11, online, serve, table01,
-    table02,
+    ablations, fig01, fig04, fig05, fig06, fig09, fig10, fig11, online, table01, table02,
 };
-use spikedyn_bench::output::{write_bench_json, write_root_artifact};
 use spikedyn_bench::HarnessScale;
 
 fn main() {
@@ -16,7 +14,7 @@ fn main() {
         scale.seed
     );
     type Experiment = (&'static str, fn(&HarnessScale) -> String);
-    let experiments: [Experiment; 13] = [
+    let experiments: [Experiment; 11] = [
         ("Table I", table01::run),
         ("Fig. 1", fig01::run),
         ("Fig. 4", fig04::run),
@@ -28,21 +26,6 @@ fn main() {
         ("Table II", table02::run),
         ("Ablations", ablations::run),
         ("Online", online::run),
-        // Smoke profiles: run_all validates the serving and cluster
-        // layers end to end; the full-scale load runs are the `serve`
-        // and `cluster` binaries.
-        ("Serve", |scale| {
-            let (report, bench) = serve::run_smoke(scale);
-            write_bench_json("serve", &bench).expect("write BENCH_serve.json");
-            report
-        }),
-        ("Cluster", |scale| {
-            let (report, bench, postmortem) = cluster::run_smoke(scale);
-            write_bench_json("cluster", &bench).expect("write BENCH_cluster.json");
-            write_root_artifact("POSTMORTEM_cluster.journal", &postmortem)
-                .expect("write POSTMORTEM_cluster.journal");
-            report
-        }),
     ];
     for (name, f) in experiments {
         let t0 = std::time::Instant::now();

@@ -1,7 +1,6 @@
 //! One module per table/figure of the paper's evaluation.
 
 pub mod ablations;
-pub mod cluster;
 pub mod fig01;
 pub mod fig04;
 pub mod fig05;
@@ -10,7 +9,6 @@ pub mod fig09;
 pub mod fig10;
 pub mod fig11;
 pub mod online;
-pub mod serve;
 pub mod table01;
 pub mod table02;
 

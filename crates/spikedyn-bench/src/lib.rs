@@ -18,10 +18,10 @@
 //! | Table II processing time | [`experiments::table02`] | `table02_time` |
 //! | Ablations (design choices) | [`experiments::ablations`] | `ablations` |
 //! | Online drift scenarios (beyond the paper) | [`experiments::online`] | `online` (`--fast` for the smoke profile) |
-//! | Multi-session serving load (beyond the paper) | [`experiments::serve`] | `serve` (`--fast` for the smoke profile) |
 //!
-//! `run_all` executes everything in sequence (the serve entry at its
-//! smoke profile).
+//! `run_all` executes everything in sequence. The serving tier is
+//! measured by the repository's benchmark, `perfbench/` (driven by
+//! `BENCHMARK.json`), and its drills are workspace tests.
 //!
 //! ## Scale
 //!

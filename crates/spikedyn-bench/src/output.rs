@@ -1,5 +1,4 @@
-//! Table rendering, CSV output, and `BENCH_*.json` emission for
-//! experiment results.
+//! Table rendering and CSV output for experiment results.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -96,150 +95,6 @@ pub fn write_csv(name: &str, content: &str) -> io::Result<PathBuf> {
     Ok(path)
 }
 
-/// A minimal JSON object builder for `BENCH_*.json` perf artifacts —
-/// enough structure for the trajectory files without a serializer
-/// dependency. Values render in insertion order.
-#[derive(Debug, Clone, Default)]
-pub struct Json {
-    fields: Vec<(String, String)>,
-}
-
-impl Json {
-    /// An empty object.
-    pub fn new() -> Self {
-        Json::default()
-    }
-
-    /// Adds an integer field.
-    pub fn int(&mut self, key: &str, value: u64) -> &mut Self {
-        self.fields.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    /// Adds a number field (`null` for non-finite values, which JSON
-    /// cannot represent).
-    pub fn num(&mut self, key: &str, value: f64) -> &mut Self {
-        let rendered = if value.is_finite() {
-            format!("{value}")
-        } else {
-            "null".to_string()
-        };
-        self.fields.push((key.to_string(), rendered));
-        self
-    }
-
-    /// Adds a string field (escaped).
-    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
-        self.fields
-            .push((key.to_string(), format!("\"{}\"", json_escape(value))));
-        self
-    }
-
-    /// Adds a pre-rendered JSON value (an array or nested object).
-    pub fn raw(&mut self, key: &str, value: String) -> &mut Self {
-        self.fields.push((key.to_string(), value));
-        self
-    }
-
-    /// Renders the object (no trailing newline).
-    pub fn render(&self) -> String {
-        let body: Vec<String> = self
-            .fields
-            .iter()
-            .map(|(k, v)| format!("\"{}\": {v}", json_escape(k)))
-            .collect();
-        format!("{{{}}}", body.join(", "))
-    }
-}
-
-/// Renders the `latency_breakdown` object of a BENCH artifact: where
-/// request wall time went, from the serving tier's own phase
-/// histograms (`serve.phase.{queue_wait,exec,write}_us`). The three
-/// `*_share` fields are fractions of queue+exec+write — they sum to
-/// 1.0 whenever any phase time was observed, an invariant CI pins on
-/// both `BENCH_serve.json` and `BENCH_cluster.json`.
-pub fn latency_breakdown(snap: &snn_obs::Snapshot) -> String {
-    let queue = snap.histogram("serve.phase.queue_wait_us");
-    let exec = snap.histogram("serve.phase.exec_us");
-    let write = snap.histogram("serve.phase.write_us");
-    let shares = snn_obs::TraceShares {
-        queue_us: queue.sum,
-        exec_us: exec.sum,
-        write_us: write.sum,
-    };
-    let mut json = Json::new();
-    json.num("queue_share", shares.queue_share())
-        .num("exec_share", shares.exec_share())
-        .num("write_share", shares.write_share())
-        .int("queue_p50_us", queue.quantile(0.50))
-        .int("queue_p99_us", queue.quantile(0.99))
-        .int("exec_p50_us", exec.quantile(0.50))
-        .int("exec_p99_us", exec.quantile(0.99))
-        .int("write_p50_us", write.quantile(0.50))
-        .int("write_p99_us", write.quantile(0.99));
-    json.render()
-}
-
-/// Renders pre-rendered JSON values as an array.
-pub fn json_array<I: IntoIterator<Item = String>>(items: I) -> String {
-    let items: Vec<String> = items.into_iter().collect();
-    format!("[{}]", items.join(", "))
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Writes a rendered JSON object to `BENCH_<name>.json` at the
-/// workspace root (resolved from `CARGO_MANIFEST_DIR`, so `cargo test`
-/// and `cargo run` land the perf-trajectory artifact in the same
-/// place), with a trailing newline.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_bench_json(name: &str, json: &Json) -> io::Result<PathBuf> {
-    let path = workspace_root().join(format!("BENCH_{name}.json"));
-    fs::write(&path, format!("{}\n", json.render()))?;
-    Ok(path)
-}
-
-/// Writes a root-level debug artifact (e.g. the chaos drill's
-/// `POSTMORTEM_cluster.journal`) next to the `BENCH_*.json` files,
-/// verbatim.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_root_artifact(file_name: &str, content: &str) -> io::Result<PathBuf> {
-    let path = workspace_root().join(file_name);
-    fs::write(&path, content)?;
-    Ok(path)
-}
-
-/// The workspace root, resolved from `CARGO_MANIFEST_DIR` so `cargo
-/// test` and `cargo run` land artifacts in the same place.
-fn workspace_root() -> PathBuf {
-    std::env::var_os("CARGO_MANIFEST_DIR")
-        .map(PathBuf::from)
-        .and_then(|dir| Some(dir.parent()?.parent()?.to_path_buf()))
-        .unwrap_or_default()
-}
-
 /// Formats a fraction as a percentage with one decimal.
 pub fn pct(x: f64) -> String {
     format!("{:.1}", x * 100.0)
@@ -277,30 +132,6 @@ mod tests {
     fn pct_and_ratio_format() {
         assert_eq!(pct(0.517), "51.7");
         assert_eq!(ratio(1.2345), "1.23");
-    }
-
-    #[test]
-    fn json_renders_escaped_fields_in_order() {
-        let mut j = Json::new();
-        j.int("n", 3)
-            .num("x", 1.5)
-            .num("bad", f64::NAN)
-            .str("s", "a\"b\\c\nd")
-            .raw("arr", json_array(["1".to_string(), "2".to_string()]));
-        assert_eq!(
-            j.render(),
-            "{\"n\": 3, \"x\": 1.5, \"bad\": null, \"s\": \"a\\\"b\\\\c\\nd\", \"arr\": [1, 2]}"
-        );
-    }
-
-    #[test]
-    fn bench_json_lands_next_to_the_manifest() {
-        let mut j = Json::new();
-        j.int("ok", 1);
-        let path = write_bench_json("test-bench-output", &j).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content, "{\"ok\": 1}\n");
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -37,36 +37,17 @@ impl Default for HarnessScale {
 }
 
 impl HarnessScale {
-    /// Parses `--spt`, `--seed`, `--n-small`, `--n-large`, `--eval`,
-    /// `--assign` from the process arguments, falling back to defaults.
+    /// Parses `--spt`, `--seed`, `--n-small`, `--n-large`, `--eval` and
+    /// `--assign` from the process arguments on top of the defaults;
+    /// other arguments (such as `--fast`) are left to the binary. A known
+    /// flag with a missing or unparseable value is reported on stderr and
+    /// exits with status 2.
     pub fn from_args() -> Self {
-        let mut scale = HarnessScale::default();
-        let args: Vec<String> = std::env::args().collect();
-        let get = |flag: &str| -> Option<u64> {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse().ok())
-        };
-        if let Some(v) = get("--spt") {
-            scale.samples_per_task = v;
-        }
-        if let Some(v) = get("--seed") {
-            scale.seed = v;
-        }
-        if let Some(v) = get("--n-small") {
-            scale.n_small = v as usize;
-        }
-        if let Some(v) = get("--n-large") {
-            scale.n_large = v as usize;
-        }
-        if let Some(v) = get("--eval") {
-            scale.eval_per_class = v;
-        }
-        if let Some(v) = get("--assign") {
-            scale.assign_per_class = v;
-        }
-        scale
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        parse(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
     }
 
     /// Temporal compression of this scale relative to the paper.
@@ -90,6 +71,30 @@ impl HarnessScale {
     pub fn sizes(&self) -> [(&'static str, usize); 2] {
         [("N200", self.n_small), ("N400", self.n_large)]
     }
+}
+
+/// Applies the scale flags in `args` (program name excluded) to the
+/// defaults.
+fn parse(args: &[String]) -> Result<HarnessScale, String> {
+    fn value<T: std::str::FromStr>(flag: &str, arg: Option<&String>) -> Result<T, String> {
+        let v = arg.ok_or_else(|| format!("{flag} needs a value"))?;
+        v.parse()
+            .map_err(|_| format!("{flag} expects a non-negative integer, got {v:?}"))
+    }
+    let mut scale = HarnessScale::default();
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--spt" => scale.samples_per_task = value(flag, args.next())?,
+            "--seed" => scale.seed = value(flag, args.next())?,
+            "--n-small" => scale.n_small = value(flag, args.next())?,
+            "--n-large" => scale.n_large = value(flag, args.next())?,
+            "--eval" => scale.eval_per_class = value(flag, args.next())?,
+            "--assign" => scale.assign_per_class = value(flag, args.next())?,
+            _ => {}
+        }
+    }
+    Ok(scale)
 }
 
 #[cfg(test)]
@@ -123,5 +128,37 @@ mod tests {
         let sizes = s.sizes();
         assert_eq!(sizes[0], ("N200", 200));
         assert_eq!(sizes[1], ("N400", 400));
+    }
+
+    /// Parses a space-separated argument line.
+    fn parse_line(line: &str) -> Result<HarnessScale, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&args)
+    }
+
+    #[test]
+    fn unparseable_value_is_an_error_naming_the_flag() {
+        let err = parse_line("--spt abc").unwrap_err();
+        assert!(err.contains("--spt"), "{err}");
+        let err = parse_line("--eval -3").unwrap_err();
+        assert!(err.contains("--eval"), "{err}");
+    }
+
+    #[test]
+    fn missing_value_is_an_error_naming_the_flag() {
+        let err = parse_line("--spt 5 --seed").unwrap_err();
+        assert!(err.contains("--seed"), "{err}");
+    }
+
+    #[test]
+    fn valid_flags_mix_with_bare_switches() {
+        let s = parse_line("--fast --spt 5 --seed 7 --n-small 50 --eval 3").unwrap();
+        assert_eq!(s.samples_per_task, 5);
+        assert_eq!(s.seed, 7);
+        assert_eq!(s.n_small, 50);
+        assert_eq!(s.eval_per_class, 3);
+        let d = HarnessScale::default();
+        assert_eq!(s.n_large, d.n_large);
+        assert_eq!(s.assign_per_class, d.assign_per_class);
     }
 }

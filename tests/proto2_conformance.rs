@@ -254,7 +254,8 @@ fn quiet_cluster() -> Cluster {
 
 /// The scripted cluster workload: two sessions, one live-migrated to the
 /// other shard and back mid-stream. Returns (predictions, checkpoints,
-/// filtered merged counters, relay p2 tx bytes, client p-idx rx bytes).
+/// filtered merged counters, relay p2 tx bytes, the `data=` payload
+/// bytes on the router's client-facing wire).
 #[allow(clippy::type_complexity)]
 fn run_cluster_workload(
     proto: u32,
@@ -262,6 +263,7 @@ fn run_cluster_workload(
     Vec<Vec<Option<u8>>>,
     Vec<Vec<u8>>,
     BTreeMap<String, u64>,
+    u64,
     u64,
 ) {
     let cluster = quiet_cluster();
@@ -307,25 +309,24 @@ fn run_cluster_workload(
     let merged = scrape(&mut client, "cluster-metrics");
     let relay_p2 = merged.counter("cluster.relay.p2.tx_bytes");
     let counters = filtered_counters(&merged);
-    let client_rx = merged.counter(&format!(
-        "cluster.wire.p{}.tx_bytes",
-        if proto >= PROTO_V2 { 2 } else { 1 }
-    ));
+    let p = if proto >= PROTO_V2 { 2 } else { 1 };
+    let client_rx = merged.counter(&format!("cluster.wire.p{p}.tx_bytes"));
     assert!(
         client_rx > 0,
         "the router counted its client-facing proto {proto} traffic"
     );
+    let payload = merged.counter(&format!("cluster.wire.p{p}.payload_bytes"));
     for id in ["fixed", "moved"] {
         client.close(id).expect("close");
     }
     cluster.shutdown();
-    (predictions, checkpoints, counters, relay_p2)
+    (predictions, checkpoints, counters, relay_p2, payload)
 }
 
 #[test]
 fn cluster_workload_with_migration_is_identical_across_protocols() {
-    let (preds_1, ckpts_1, counters_1, relay_1) = run_cluster_workload(PROTO_VERSION);
-    let (preds_2, ckpts_2, counters_2, relay_2) = run_cluster_workload(PROTO_V2);
+    let (preds_1, ckpts_1, counters_1, relay_1, payload_1) = run_cluster_workload(PROTO_VERSION);
+    let (preds_2, ckpts_2, counters_2, relay_2, payload_2) = run_cluster_workload(PROTO_V2);
 
     assert_eq!(preds_1, preds_2, "predictions must match across protocols");
     assert_eq!(
@@ -341,6 +342,12 @@ fn cluster_workload_with_migration_is_identical_across_protocols() {
     // frames in both runs.
     assert!(relay_1 > 0, "proto 1 client still rides a proto 2 relay");
     assert!(relay_2 > 0, "proto 2 relay carried the migration blobs");
+    // The binary framing's headline claim on the client wire: the same
+    // payloads (hex text vs raw bytes) in at least 2x fewer bytes.
+    assert!(
+        payload_2 > 0 && payload_1 as f64 / payload_2 as f64 >= 2.0,
+        "proto 2 must move >= 2x fewer payload bytes (p1 {payload_1} B, p2 {payload_2} B)"
+    );
 }
 
 /// Ingests a chunk, retrying through a failover window against a hard
