@@ -127,6 +127,17 @@ impl Outbound {
     }
 }
 
+/// The in-flight window of one connection. A request holds its tag (for
+/// duplicate detection) until its response is complete, and its window
+/// slot until that response is queued for the writer: the client may
+/// reuse a tag as soon as the response lands, while a handler blocked
+/// on a slow reader still counts against [`MAX_INFLIGHT`].
+#[derive(Default)]
+struct Window {
+    tags: HashSet<u32>,
+    serving: usize,
+}
+
 /// Serves one upgraded (post-`hello`) proto 2 connection until the peer
 /// disconnects: demultiplexes request frames, fans them out to worker
 /// threads bounded by [`MAX_INFLIGHT`], and serialises tagged response
@@ -150,9 +161,7 @@ pub fn run_mux<R: io::Read, H: MuxHost>(
         tx: raw_tx,
         depth: Arc::new(AtomicU64::new(0)),
     };
-    // Tags currently being served (duplicate detection + the in-flight
-    // window the reader blocks on).
-    let inflight = Arc::new((Mutex::new(HashSet::<u32>::new()), Condvar::new()));
+    let inflight = Arc::new((Mutex::new(Window::default()), Condvar::new()));
     let writer_thread = {
         let depth = Arc::clone(&out_tx.depth);
         let inflight = Arc::clone(&inflight);
@@ -161,8 +170,8 @@ pub fn run_mux<R: io::Read, H: MuxHost>(
             let mut writer = BufWriter::new(stream);
             for frame in out_rx {
                 let queued = depth.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
-                let tags = inflight.0.lock().expect("inflight lock").len() as u64;
-                host.on_flow(tags, queued);
+                let serving = inflight.0.lock().expect("inflight lock").serving as u64;
+                host.on_flow(serving, queued);
                 if writer
                     .write_all(&frame.encode())
                     .and_then(|()| writer.flush())
@@ -209,10 +218,10 @@ pub fn run_mux<R: io::Read, H: MuxHost>(
         }
         let waited;
         {
-            let (set, cv) = &*inflight;
-            let mut set = set.lock().expect("inflight lock");
-            if set.contains(&frame.tag) {
-                drop(set);
+            let (window, cv) = &*inflight;
+            let mut window = window.lock().expect("inflight lock");
+            if window.tags.contains(&frame.tag) {
+                drop(window);
                 let resp = Response::error(
                     "duplicate-tag",
                     format!("tag {} is already in flight", frame.tag),
@@ -225,12 +234,13 @@ pub fn run_mux<R: io::Read, H: MuxHost>(
             // client blocks in its own write — backpressure, not OOM.
             // Time spent here is the request's demux queue-wait.
             let wait0 = std::time::Instant::now();
-            while set.len() >= MAX_INFLIGHT {
-                set = cv.wait(set).expect("inflight lock");
+            while window.serving >= MAX_INFLIGHT {
+                window = cv.wait(window).expect("inflight lock");
             }
             waited = wait0.elapsed();
-            set.insert(frame.tag);
-            host.on_flow(set.len() as u64, out_tx.depth.load(Ordering::Relaxed));
+            window.tags.insert(frame.tag);
+            window.serving += 1;
+            host.on_flow(window.serving as u64, out_tx.depth.load(Ordering::Relaxed));
         }
         let host = Arc::clone(&host);
         let out_tx = out_tx.clone();
@@ -246,16 +256,18 @@ pub fn run_mux<R: io::Read, H: MuxHost>(
             };
             let response = line_to_frame(&response_line, tag, 0);
             host.on_wire(rx_bytes, wire_len(&response));
-            // Retire the tag before its response is queued: a client may
-            // reuse a tag as soon as the response lands.
-            let (set, cv) = &*inflight;
+            // Retire the tag before the response is queued, and the
+            // window slot only after: `send` blocks while the writer is
+            // stalled on a slow reader, and the reader must stall too.
+            let (window, cv) = &*inflight;
+            window.lock().expect("inflight lock").tags.remove(&tag);
+            let _ = out_tx.send(response);
             let remaining = {
-                let mut set = set.lock().expect("inflight lock");
-                set.remove(&tag);
-                set.len() as u64
+                let mut window = window.lock().expect("inflight lock");
+                window.serving -= 1;
+                window.serving as u64
             };
             cv.notify_one();
-            let _ = out_tx.send(response);
             host.on_flow(remaining, out_tx.depth.load(Ordering::Relaxed));
         });
     };

@@ -7,8 +7,11 @@
 //! in-flight tags on the same connection. The server must stay healthy
 //! for later connections in all cases.
 
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use snn_data::{Image, SyntheticDigits};
@@ -16,8 +19,9 @@ use snn_serve::frame::{
     line_to_frame, verb_code, Frame, FrameError, FLAG_PUSH, HEADER_BYTES, MAGIC, MAX_FRAME_PAYLOAD,
     VERB_RAW,
 };
+use snn_serve::mux::MAX_INFLIGHT;
 use snn_serve::protocol::{format_request, parse_response, Request, Response, SessionSpec};
-use snn_serve::{ServeClient, ServerConfig, SnnServer, PROTO_V2};
+use snn_serve::{run_mux, MuxHost, ServeClient, ServerConfig, SnnServer, PROTO_V2};
 use spikedyn::Method;
 
 /// A read timeout generous enough for CI yet far below "stalled".
@@ -275,6 +279,84 @@ fn duplicate_tags_error_while_the_original_request_completes() {
         .expect("pong")
         .head
         .starts_with("ok"));
+}
+
+/// Answers every request with the same large `data=` reply and counts
+/// the requests it was handed.
+struct BulkHost(AtomicUsize, String);
+
+impl MuxHost for BulkHost {
+    fn handle_line(&self, _line: &str) -> String {
+        self.0.fetch_add(1, Ordering::SeqCst);
+        self.1.clone()
+    }
+
+    fn push_line(&self, _seq: u64, _journal_cursor: &mut u64) -> Option<String> {
+        None
+    }
+
+    fn is_shutdown(&self) -> bool {
+        false
+    }
+
+    fn journal_total(&self) -> u64 {
+        0
+    }
+}
+
+#[test]
+fn a_client_that_stops_reading_stops_the_server_reading() {
+    // 256 KiB replies: a handful fill the socket buffers, after which
+    // the writer stalls and replies back up into the handlers.
+    let reply = format!("ok data={}", "ab".repeat(256 * 1024));
+    let host = Arc::new(BulkHost(AtomicUsize::new(0), reply));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let mut stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+    let server = {
+        let host = Arc::clone(&host);
+        std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            run_mux(BufReader::new(stream.try_clone().unwrap()), stream, host)
+        })
+    };
+
+    // Pipeline four windows' worth of pings on fresh tags, read nothing
+    // back, and wait until the server stops taking requests.
+    let requests = 4 * MAX_INFLIGHT;
+    let burst: Vec<u8> = (1..=requests as u32)
+        .flat_map(|tag| line_to_frame("ping", tag, 0).encode())
+        .collect();
+    stream.write_all(&burst).expect("pipelined pings");
+    let mut handled = 0;
+    loop {
+        std::thread::sleep(Duration::from_millis(300));
+        let now = host.0.load(Ordering::SeqCst);
+        if now > 0 && now == handled {
+            break;
+        }
+        handled = now;
+    }
+    assert!(
+        handled < requests,
+        "the server kept pulling frames from a client that reads nothing \
+         ({handled} of {requests} requests handled)"
+    );
+
+    // Backpressure, not deadlock: once the client reads, every request
+    // is answered once.
+    stream
+        .set_read_timeout(Some(READ_DEADLINE))
+        .expect("read timeout");
+    let tags: HashSet<u32> = (0..requests)
+        .map(|_| {
+            read_frame(&mut stream)
+                .expect("reply once the client reads")
+                .tag
+        })
+        .collect();
+    assert_eq!(tags.len(), requests);
+    drop(stream);
+    server.join().unwrap().expect("clean disconnect");
 }
 
 #[test]

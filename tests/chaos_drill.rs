@@ -20,16 +20,17 @@
 //! Bit-exactness across a kill is pinned by `tests/cluster_heal.rs`, the
 //! post-mortem rid chain by `tests/postmortem.rs`.
 
+mod common;
+
 use std::net::SocketAddr;
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::time::{Duration, Instant};
 
+use common::{ingest_through_failover, stream, tiny_spec};
 use snn_cluster::{Cluster, ClusterConfig, ClusterLimits};
-use snn_data::Image;
 use snn_obs::JournalSnapshot;
-use snn_serve::{ServeClient, ServerConfig, SessionSpec, SnnServer, PROTO_V2, PROTO_VERSION};
+use snn_serve::{ServeClient, ServerConfig, SnnServer, PROTO_V2, PROTO_VERSION};
 use snn_slo::{Objective, Signal, SloEngine, SloPolicy};
-use spikedyn::Method;
 
 const SESSIONS: u64 = 4;
 const SAMPLES: u64 = 32;
@@ -37,31 +38,6 @@ const HALFWAY: u64 = SAMPLES / 2;
 /// How long any single wait in the drill may take before it counts as
 /// hung.
 const DEADLINE: Duration = Duration::from_secs(30);
-
-fn tiny_spec(seed: u64) -> SessionSpec {
-    SessionSpec {
-        method: Method::SpikeDyn,
-        n_exc: 8,
-        n_input: 49,
-        n_classes: 10,
-        seed,
-        batch_size: 4,
-        assign_every: 8,
-        reservoir_capacity: 12,
-        metric_window: 12,
-        drift_window: 8,
-    }
-}
-
-fn stream(seed: u64, total: u64) -> Vec<Image> {
-    let gen = snn_data::SyntheticDigits::new(seed);
-    (0..total)
-        .map(|i| {
-            gen.sample((i % 10) as u8, seed.wrapping_mul(1000) + i)
-                .downsample(4)
-        })
-        .collect()
-}
 
 /// One exposition or journal verb through the router, decoded to text.
 fn scrape_text(client: &mut ServeClient, verb: &str) -> String {
@@ -74,19 +50,6 @@ fn scrape_text(client: &mut ServeClient, verb: &str) -> String {
 
 fn scrape(client: &mut ServeClient, verb: &str) -> snn_obs::Snapshot {
     snn_obs::Snapshot::parse(&scrape_text(client, verb)).expect("exposition parses")
-}
-
-/// Ingests a chunk, retrying through a failover window (`shard-down`,
-/// transient relay errors) against a hard deadline.
-fn ingest_through_failover(client: &mut ServeClient, id: &str, chunk: &[Image]) {
-    let deadline = Instant::now() + DEADLINE;
-    loop {
-        match client.ingest(id, chunk) {
-            Ok(_) => return,
-            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(5)),
-            Err(e) => panic!("session {id} never recovered: {e}"),
-        }
-    }
 }
 
 /// One drill client: streams the first half of session `s`, reports on

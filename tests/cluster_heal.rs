@@ -19,37 +19,13 @@
 //! `crates/snn-heal/tests/autoscaler.rs`; replay-gap disclosure and
 //! fail-fast staleness are pinned by `snn-cluster`'s in-crate tests.
 
+mod common;
+
 use std::time::{Duration, Instant};
 
+use common::{ingest_through_failover, stream, tiny_spec};
 use snn_cluster::{Cluster, ClusterConfig, ClusterLimits};
-use snn_data::Image;
-use snn_serve::{ServeClient, ServerConfig, SessionSpec, SnnServer};
-use spikedyn::Method;
-
-fn tiny_spec(seed: u64) -> SessionSpec {
-    SessionSpec {
-        method: Method::SpikeDyn,
-        n_exc: 8,
-        n_input: 49,
-        n_classes: 10,
-        seed,
-        batch_size: 4,
-        assign_every: 8,
-        reservoir_capacity: 12,
-        metric_window: 12,
-        drift_window: 8,
-    }
-}
-
-fn stream(seed: u64, total: u64) -> Vec<Image> {
-    let gen = snn_data::SyntheticDigits::new(seed);
-    (0..total)
-        .map(|i| {
-            gen.sample((i % 10) as u8, seed.wrapping_mul(1000) + i)
-                .downsample(4)
-        })
-        .collect()
-}
+use snn_serve::{ServeClient, ServerConfig, SnnServer};
 
 /// Scrapes and parses one exposition verb through the router.
 fn scrape(client: &mut ServeClient, verb: &str) -> snn_obs::Snapshot {
@@ -59,22 +35,6 @@ fn scrape(client: &mut ServeClient, verb: &str) -> snn_obs::Snapshot {
     let bytes = snn_serve::protocol::hex_decode(hex).expect("scrape payload is hex");
     let text = String::from_utf8(bytes).expect("scrape payload is UTF-8");
     snn_obs::Snapshot::parse(&text).expect("exposition parses")
-}
-
-/// Ingests a chunk, retrying through a failover window (`shard-down`,
-/// transient relay errors) against a hard deadline.
-fn ingest_through_failover(client: &mut ServeClient, id: &str, chunk: &[Image]) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        match client.ingest(id, chunk) {
-            Ok(_) => return,
-            Err(e) if Instant::now() < deadline => {
-                let _ = e;
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => panic!("session {id} never recovered: {e}"),
-        }
-    }
 }
 
 #[test]

@@ -12,10 +12,17 @@
 //! Ring-hash unit tests (uniformity, minimal reshuffle on join/leave)
 //! live in `snn-cluster/src/ring.rs`.
 
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::time::Duration;
+
 use snn_cluster::{Cluster, ClusterConfig};
 use snn_data::{Image, Scenario, SyntheticDigits};
 use snn_serve::{ServeClient, ServerConfig, SessionSpec};
 use spikedyn::Method;
+
+/// How long a session may take to reach, or be released from, its
+/// halfway mark before the test counts it as hung.
+const PARK_DEADLINE: Duration = Duration::from_secs(30);
 
 /// A tiny 7×7-input profile so multi-shard streams stay fast.
 fn tiny_spec(seed: u64) -> SessionSpec {
@@ -51,54 +58,100 @@ fn two_shard_cluster() -> Cluster {
     cluster
 }
 
-#[test]
-fn migrated_session_finishes_bit_identical_to_unmigrated() {
-    let cluster = two_shard_cluster();
+/// Streams one session over its own router connection; returns its
+/// predictions and final wire checkpoint. It reports on `parked` at its
+/// halfway mark and holds until `resume` fires. A `migrate`d session then
+/// moves to the *other* shard and, 8 samples later, hops back — two
+/// migrations, zero pauses from the client's point of view.
+fn drive_session(
+    cluster: &Cluster,
+    id: &str,
+    seed: u64,
+    stream: &[Image],
+    migrate: bool,
+    parked: Sender<()>,
+    resume: Receiver<()>,
+) -> (Vec<Option<u8>>, Vec<u8>) {
     let mut client = ServeClient::connect(cluster.local_addr()).unwrap();
-
-    for (i, scenario) in [Scenario::GradualDrift, Scenario::RecurringTasks]
-        .into_iter()
-        .enumerate()
-    {
-        let seed = 60 + i as u64;
-        let label = scenario.label();
-        let stream = scenario_stream(scenario, seed, 32);
-
-        // Reference: the same stream served through the same router with
-        // no migration (whatever single shard the ring picks).
-        let fixed_id = format!("fixed-{label}");
-        client.open(&fixed_id, tiny_spec(seed)).unwrap();
-        let mut fixed_preds = Vec::new();
-        for chunk in stream.chunks(4) {
-            fixed_preds.extend(client.ingest(&fixed_id, chunk).unwrap().predictions);
+    client.open(id, tiny_spec(seed)).unwrap();
+    let mut preds = Vec::new();
+    let mut ingest = |client: &mut ServeClient, samples: &[Image]| {
+        for chunk in samples.chunks(4) {
+            preds.extend(client.ingest(id, chunk).unwrap().predictions);
         }
-        let fixed_final = client.checkpoint(&fixed_id).unwrap();
-
-        // Moving session: half the stream, live-migrate to the *other*
-        // shard mid-stream, then hop back — two migrations, zero pauses
-        // from the client's point of view.
-        let moved_id = format!("moved-{label}");
-        client.open(&moved_id, tiny_spec(seed)).unwrap();
-        let mut moved_preds = Vec::new();
-        for chunk in stream[..16].chunks(4) {
-            moved_preds.extend(client.ingest(&moved_id, chunk).unwrap().predictions);
-        }
-        let first_home = cluster.session_shard(&moved_id).unwrap();
+    };
+    ingest(&mut client, &stream[..16]);
+    parked.send(()).unwrap();
+    resume
+        .recv_timeout(PARK_DEADLINE)
+        .expect("every session parks at its halfway mark");
+    if migrate {
+        let first_home = cluster.session_shard(id).unwrap();
         let other = cluster
             .shard_ids()
             .into_iter()
             .find(|&s| s != first_home)
             .expect("two shards");
-        cluster.migrate_session(&moved_id, other).unwrap();
-        assert_eq!(cluster.session_shard(&moved_id), Some(other));
-        for chunk in stream[16..24].chunks(4) {
-            moved_preds.extend(client.ingest(&moved_id, chunk).unwrap().predictions);
+        cluster.migrate_session(id, other).unwrap();
+        assert_eq!(cluster.session_shard(id), Some(other));
+        ingest(&mut client, &stream[16..24]);
+        cluster.migrate_session(id, first_home).unwrap();
+        ingest(&mut client, &stream[24..]);
+    } else {
+        ingest(&mut client, &stream[16..]);
+    }
+    let last = client.checkpoint(id).unwrap();
+    client.close(id).unwrap();
+    (preds, last)
+}
+
+#[test]
+fn migrated_session_finishes_bit_identical_to_unmigrated() {
+    let cluster = two_shard_cluster();
+    let scenarios = [Scenario::GradualDrift, Scenario::RecurringTasks];
+    let streams: Vec<Vec<Image>> = scenarios
+        .iter()
+        .enumerate()
+        .map(|(i, &scenario)| scenario_stream(scenario, 60 + i as u64, 32))
+        .collect();
+
+    // Each stream is served twice through the router: unmigrated (the
+    // reference, on whatever shard the ring picks) and moving. One client
+    // thread per session; all four park halfway and resume together, so
+    // the moves race the other sessions' relays to the same shards.
+    let served: Vec<(Vec<Option<u8>>, Vec<u8>)> = std::thread::scope(|scope| {
+        let (parked_tx, parked) = mpsc::channel();
+        let mut resumes = Vec::new();
+        let mut handles = Vec::new();
+        for (i, (scenario, stream)) in scenarios.iter().zip(&streams).enumerate() {
+            let seed = 60 + i as u64;
+            for (migrate, role) in [(false, "fixed"), (true, "moved")] {
+                let (go, resume) = mpsc::channel();
+                resumes.push(go);
+                let id = format!("{role}-{}", scenario.label());
+                let (cluster, parked) = (&cluster, parked_tx.clone());
+                let session =
+                    move || drive_session(cluster, &id, seed, stream, migrate, parked, resume);
+                handles.push(scope.spawn(session));
+            }
         }
-        cluster.migrate_session(&moved_id, first_home).unwrap();
-        for chunk in stream[24..].chunks(4) {
-            moved_preds.extend(client.ingest(&moved_id, chunk).unwrap().predictions);
+        drop(parked_tx);
+        for _ in 0..handles.len() {
+            parked
+                .recv_timeout(PARK_DEADLINE)
+                .expect("every session parks at its halfway mark");
         }
-        let moved_final = client.checkpoint(&moved_id).unwrap();
+        for go in &resumes {
+            go.send(()).unwrap();
+        }
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    for (i, (scenario, stream)) in scenarios.into_iter().zip(&streams).enumerate() {
+        let seed = 60 + i as u64;
+        let label = scenario.label();
+        let (fixed_preds, fixed_final) = &served[2 * i];
+        let (moved_preds, moved_final) = &served[2 * i + 1];
 
         assert_eq!(
             moved_preds, fixed_preds,
@@ -116,15 +169,12 @@ fn migrated_session_finishes_bit_identical_to_unmigrated() {
         for chunk in stream.chunks(4) {
             local_preds.extend(local.ingest_batch(chunk).unwrap());
         }
-        assert_eq!(moved_preds, local_preds, "{label}: local reference preds");
+        assert_eq!(moved_preds, &local_preds, "{label}: local reference preds");
         assert_eq!(
             moved_final,
-            local.checkpoint().to_bytes(),
+            &local.checkpoint().to_bytes(),
             "{label}: local reference checkpoint"
         );
-
-        client.close(&fixed_id).unwrap();
-        client.close(&moved_id).unwrap();
     }
     cluster.shutdown();
 }

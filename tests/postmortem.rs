@@ -13,38 +13,14 @@
 //! is walkable by rid from a single artifact, with no shard left to
 //! ask.
 
+mod common;
+
 use std::time::{Duration, Instant};
 
+use common::{ingest_through_failover, stream, tiny_spec};
 use snn_cluster::{Cluster, ClusterConfig, ClusterLimits};
-use snn_data::Image;
 use snn_obs::JournalSnapshot;
-use snn_serve::{ServeClient, ServerConfig, SessionSpec, SnnServer};
-use spikedyn::Method;
-
-fn tiny_spec(seed: u64) -> SessionSpec {
-    SessionSpec {
-        method: Method::SpikeDyn,
-        n_exc: 8,
-        n_input: 49,
-        n_classes: 10,
-        seed,
-        batch_size: 4,
-        assign_every: 8,
-        reservoir_capacity: 12,
-        metric_window: 12,
-        drift_window: 8,
-    }
-}
-
-fn stream(seed: u64, total: u64) -> Vec<Image> {
-    let gen = snn_data::SyntheticDigits::new(seed);
-    (0..total)
-        .map(|i| {
-            gen.sample((i % 10) as u8, seed.wrapping_mul(1000) + i)
-                .downsample(4)
-        })
-        .collect()
-}
+use snn_serve::{ServeClient, ServerConfig, SnnServer};
 
 /// One `cluster-journal` round trip, decoded into the merged snapshot.
 fn cluster_journal(client: &mut ServeClient) -> JournalSnapshot {
@@ -54,20 +30,6 @@ fn cluster_journal(client: &mut ServeClient) -> JournalSnapshot {
     let bytes = snn_serve::protocol::hex_decode(hex).expect("journal payload is hex");
     let text = String::from_utf8(bytes).expect("journal payload is UTF-8");
     JournalSnapshot::parse(&text).expect("journal text parses")
-}
-
-fn ingest_through_failover(client: &mut ServeClient, id: &str, chunk: &[Image]) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        match client.ingest(id, chunk) {
-            Ok(_) => return,
-            Err(e) if Instant::now() < deadline => {
-                let _ = e;
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => panic!("session {id} never recovered: {e}"),
-        }
-    }
 }
 
 #[test]

@@ -18,42 +18,18 @@
 //! migration under both protocols and a shard-kill failover under
 //! proto 2 (the relay path itself multiplexes frames by default).
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use common::{ingest_through_failover, stream, tiny_spec};
 use snn_cluster::{Cluster, ClusterConfig, ClusterLimits};
-use snn_data::Image;
 use snn_serve::frame::{line_to_frame, Frame};
 use snn_serve::protocol::{format_request, hex_decode, parse_response, Request};
-use snn_serve::{ServeClient, ServerConfig, SessionSpec, SnnServer, PROTO_V2, PROTO_VERSION};
-use spikedyn::Method;
-
-fn tiny_spec(seed: u64) -> SessionSpec {
-    SessionSpec {
-        method: Method::SpikeDyn,
-        n_exc: 8,
-        n_input: 49,
-        n_classes: 10,
-        seed,
-        batch_size: 4,
-        assign_every: 8,
-        reservoir_capacity: 12,
-        metric_window: 12,
-        drift_window: 8,
-    }
-}
-
-fn stream(seed: u64, total: u64) -> Vec<Image> {
-    let gen = snn_data::SyntheticDigits::new(seed);
-    (0..total)
-        .map(|i| {
-            gen.sample((i % 10) as u8, seed.wrapping_mul(1000) + i)
-                .downsample(4)
-        })
-        .collect()
-}
+use snn_serve::{ServeClient, ServerConfig, SnnServer, PROTO_V2, PROTO_VERSION};
 
 /// Counter totals with the protocol-dependent and wall-clock-dependent
 /// names removed: what must be *identical* across a proto 1 and a
@@ -348,22 +324,6 @@ fn cluster_workload_with_migration_is_identical_across_protocols() {
         payload_2 > 0 && payload_1 as f64 / payload_2 as f64 >= 2.0,
         "proto 2 must move >= 2x fewer payload bytes (p1 {payload_1} B, p2 {payload_2} B)"
     );
-}
-
-/// Ingests a chunk, retrying through a failover window against a hard
-/// deadline.
-fn ingest_through_failover(client: &mut ServeClient, id: &str, chunk: &[Image]) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        match client.ingest(id, chunk) {
-            Ok(_) => return,
-            Err(e) if Instant::now() < deadline => {
-                let _ = e;
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => panic!("session {id} never recovered: {e}"),
-        }
-    }
 }
 
 #[test]

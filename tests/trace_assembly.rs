@@ -13,38 +13,14 @@
 //!   journal (`via=journal` leaves). A trace must never go dark just
 //!   because the process that served it did.
 
+mod common;
+
 use std::time::{Duration, Instant};
 
+use common::{ingest_through_failover, stream, tiny_spec};
 use snn_cluster::{Cluster, ClusterConfig, ClusterLimits};
-use snn_data::Image;
 use snn_serve::protocol::{format_request, parse_response, Request};
-use snn_serve::{ServeClient, ServerConfig, SessionSpec, SnnServer};
-use spikedyn::Method;
-
-fn tiny_spec(seed: u64) -> SessionSpec {
-    SessionSpec {
-        method: Method::SpikeDyn,
-        n_exc: 8,
-        n_input: 49,
-        n_classes: 10,
-        seed,
-        batch_size: 4,
-        assign_every: 8,
-        reservoir_capacity: 12,
-        metric_window: 12,
-        drift_window: 8,
-    }
-}
-
-fn stream(seed: u64, total: u64) -> Vec<Image> {
-    let gen = snn_data::SyntheticDigits::new(seed);
-    (0..total)
-        .map(|i| {
-            gen.sample((i % 10) as u8, seed.wrapping_mul(1000) + i)
-                .downsample(4)
-        })
-        .collect()
-}
+use snn_serve::{ServeClient, ServerConfig, SnnServer};
 
 /// True when any node in the subtree carries the phase label.
 fn has_phase(node: &snn_obs::TraceNode, phase: &str) -> bool {
@@ -208,18 +184,7 @@ fn trace_assembly_survives_a_shard_kill_via_the_black_box_journal() {
     // Drive every session through the failover window.
     for s in 0..n_sessions {
         let id = format!("k-{s}");
-        let chunk = &stream(s, 16)[8..];
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            match client.ingest(&id, chunk) {
-                Ok(_) => break,
-                Err(e) if Instant::now() < deadline => {
-                    let _ = e;
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => panic!("session {id} never recovered: {e}"),
-            }
-        }
+        ingest_through_failover(&mut client, &id, &stream(s, 16)[8..]);
     }
 
     // The incident rid (shared by the probe strikes and the death
