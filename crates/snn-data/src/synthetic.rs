@@ -6,7 +6,7 @@
 //! (rotation, scale, translation) to the skeleton, rasterising it onto the
 //! 28×28 grid with a distance-based soft brush, and adding pixel noise.
 //!
-//! This substitutes for the real MNIST files (see `DESIGN.md` §2): the
+//! This substitutes for the real MNIST files (see `DESIGN.md` §15): the
 //! experiments only rely on class-conditional input statistics — strong
 //! intra-class similarity with jitter-induced variability, and partial
 //! inter-class overlap (4 and 9 share a loop-plus-stem structure here, just
@@ -157,6 +157,12 @@ impl SyntheticDigits {
     ///
     /// Panics if `class > 9`.
     pub fn sample(&self, class: u8, index: u64) -> Image {
+        self.render(class, index, rasterize)
+    }
+
+    /// [`SyntheticDigits::sample`] with the rasteriser as a parameter, so
+    /// the tests can render the same draws with the full-grid reference.
+    fn render(&self, class: u8, index: u64, raster: Rasterizer) -> Image {
         assert!(class <= 9, "digit classes are 0–9");
         let sample_seed = derive_seed(self.seed, splitmix64(u64::from(class)) ^ index);
         let mut rng = StdRng::seed_from_u64(sample_seed);
@@ -187,22 +193,7 @@ impl SyntheticDigits {
             .map(|poly| poly.into_iter().map(transform).collect())
             .collect();
 
-        // Rasterise with a soft distance brush.
-        let mut pixels = vec![0.0f32; side * side];
-        let aa = 0.9f32; // anti-aliasing falloff in pixels
-        for y in 0..side {
-            for x in 0..side {
-                let p = (x as f32 + 0.5, y as f32 + 0.5);
-                let mut d = f32::INFINITY;
-                for poly in &strokes {
-                    for seg in poly.windows(2) {
-                        d = d.min(dist_point_segment(p, seg[0], seg[1]));
-                    }
-                }
-                let v = (1.0 - (d - thickness) / aa).clamp(0.0, 1.0);
-                pixels[y * side + x] = v * intensity;
-            }
-        }
+        let mut pixels = raster(&strokes, side, thickness, intensity);
 
         // Pixel noise.
         if cfg.noise_sigma > 0.0 {
@@ -228,6 +219,62 @@ impl SyntheticDigits {
         }
         out
     }
+}
+
+/// Renders pixel-space strokes onto a `side`×`side` grid: `(strokes,
+/// side, thickness, intensity) -> pixels`.
+type Rasterizer = fn(&[Vec<P>], usize, f32, f32) -> Vec<f32>;
+
+/// Anti-aliasing falloff of the brush, in pixels.
+const AA: f32 = 0.9;
+
+/// Rasterises with a soft distance brush: a pixel's value falls from
+/// `intensity` to 0 as its centre's distance to the nearest segment goes
+/// from `thickness` to `thickness + AA`.
+///
+/// Each segment is visited only over its bounding box grown by
+/// `thickness + AA + 1` px, keeping a per-pixel running minimum distance;
+/// the brush is applied once per pixel afterwards. The result is
+/// bit-identical to measuring every pixel against every segment
+/// (`DESIGN.md` §15): a segment is skipped only where it lies beyond the
+/// brush's reach, so it could only have brushed the pixel to exactly 0.0,
+/// and `min` is exact and order-free wherever the nearest one is visited.
+fn rasterize(strokes: &[Vec<P>], side: usize, thickness: f32, intensity: f32) -> Vec<f32> {
+    let mut pixels = vec![f32::INFINITY; side * side];
+    let reach = thickness + AA + 1.0;
+    for seg in strokes.iter().flat_map(|poly| poly.windows(2)) {
+        let (a, b) = (seg[0], seg[1]);
+        let Some(xs) = pixel_span(a.0.min(b.0) - reach, a.0.max(b.0) + reach, side) else {
+            continue;
+        };
+        let Some(ys) = pixel_span(a.1.min(b.1) - reach, a.1.max(b.1) + reach, side) else {
+            continue;
+        };
+        for y in ys {
+            let row = &mut pixels[y * side..(y + 1) * side];
+            for x in xs.clone() {
+                let p = (x as f32 + 0.5, y as f32 + 0.5);
+                row[x] = row[x].min(dist_point_segment(p, a, b));
+            }
+        }
+    }
+    for px in &mut pixels {
+        let v = (1.0 - (*px - thickness) / AA).clamp(0.0, 1.0);
+        *px = v * intensity;
+    }
+    pixels
+}
+
+/// The pixels of a `side`-pixel axis whose cells meet `[lo, hi]`, or
+/// `None` when the interval misses the grid (always for an empty grid).
+fn pixel_span(lo: f32, hi: f32, side: usize) -> Option<std::ops::Range<usize>> {
+    if side == 0 || !(hi >= 0.0 && lo < side as f32) {
+        return None;
+    }
+    // Clip to the grid; the cast saturates when `hi` is far off it.
+    let first = lo.floor().max(0.0) as usize;
+    let last = (hi.floor() as usize).min(side - 1);
+    Some(first..last + 1)
 }
 
 fn dist_point_segment(p: P, a: P, b: P) -> f32 {
@@ -345,6 +392,94 @@ mod tests {
     #[should_panic(expected = "digit classes")]
     fn class_out_of_range_panics() {
         let _ = SyntheticDigits::new(0).sample(10, 0);
+    }
+
+    /// The rasteriser [`rasterize`] replaced, kept as its exactness
+    /// oracle: every pixel measured against every segment.
+    fn rasterize_full_grid(
+        strokes: &[Vec<P>],
+        side: usize,
+        thickness: f32,
+        intensity: f32,
+    ) -> Vec<f32> {
+        let mut pixels = vec![0.0f32; side * side];
+        let aa = 0.9f32; // anti-aliasing falloff in pixels
+        for y in 0..side {
+            for x in 0..side {
+                let p = (x as f32 + 0.5, y as f32 + 0.5);
+                let mut d = f32::INFINITY;
+                for poly in strokes {
+                    for seg in poly.windows(2) {
+                        d = d.min(dist_point_segment(p, seg[0], seg[1]));
+                    }
+                }
+                let v = (1.0 - (d - thickness) / aa).clamp(0.0, 1.0);
+                pixels[y * side + x] = v * intensity;
+            }
+        }
+        pixels
+    }
+
+    fn pixel_bits(img: &Image) -> Vec<u32> {
+        img.pixels().iter().map(|p| p.to_bits()).collect()
+    }
+
+    #[test]
+    fn bounded_box_rasteriser_matches_the_full_grid_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut blank = 0;
+        for side in [0, 1, 7, 28] {
+            // 0.6 and 1.5 push boxes partly and wholly off the grid.
+            for max_shift in [0.0, 0.07, 0.6, 1.5] {
+                for stroke_px in [0.2, 1.15, 4.0] {
+                    for noise_sigma in [0.0, 0.02] {
+                        let cfg = SyntheticConfig {
+                            side,
+                            max_shift,
+                            stroke_px,
+                            noise_sigma,
+                            ..SyntheticConfig::default()
+                        };
+                        let gen = SyntheticDigits::with_config(cfg, rng.gen());
+                        for class in 0..10u8 {
+                            let index = rng.gen_range(0..1000);
+                            let fast = gen.sample(class, index);
+                            let full = gen.render(class, index, rasterize_full_grid);
+                            assert_eq!(
+                                pixel_bits(&fast),
+                                pixel_bits(&full),
+                                "{cfg:?}, class {class}, index {index}"
+                            );
+                            if side > 0 && fast.pixels().iter().all(|&p| p == 0.0) {
+                                blank += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(blank > 0, "the sweep pushes whole digits off the grid");
+    }
+
+    #[test]
+    fn default_pixels_match_the_golden_digest() {
+        // FNV-1a-64 over the pixel bits of seeds 0–3, classes 0–9 and
+        // indices 0–24 at the default config, as the full-grid
+        // rasteriser rendered them.
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for seed in 0..4 {
+            let gen = SyntheticDigits::new(seed);
+            for class in 0..10u8 {
+                for index in 0..25 {
+                    for px in gen.sample(class, index).pixels() {
+                        for byte in px.to_bits().to_le_bytes() {
+                            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(hash, 0x92eb_9bbb_03c9_201c, "default-config pixels changed");
     }
 
     #[test]

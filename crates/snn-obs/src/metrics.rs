@@ -330,11 +330,11 @@ mod tests {
 
     #[test]
     fn tail_quantiles_separate_within_one_bucket() {
-        // The serve load generator's saturation repro: every latency lands
-        // in the coarse octave bucket ending at 262143, and p95 == p99 ==
-        // 262143 without interpolation. Spread samples across that one
-        // bucket (229376..=262143) and the interpolated quantiles must
-        // separate while staying inside the bucket.
+        // A saturated server's latencies can all land in the coarse
+        // octave bucket ending at 262143, and p95 == p99 == 262143
+        // without interpolation. Spread samples across that one bucket
+        // (229376..=262143) and the interpolated quantiles must separate
+        // while staying inside the bucket.
         let h = Histogram::new();
         for i in 0..1024u64 {
             h.record(229_376 + 32 * i); // all land in one bucket

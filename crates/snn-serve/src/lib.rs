@@ -284,6 +284,33 @@ mod tests {
         server.shutdown();
     }
 
+    #[test]
+    fn probe_and_scrape_traffic_never_evicts_request_spans() {
+        // A router's health loop sends every shard a `ping` and a
+        // `journal` per interval. Were those spans, a ring's worth of
+        // probes would evict the request spans a trace is built from.
+        for proto in [PROTO_VERSION, PROTO_V2] {
+            let server = start_server(ServeLimits::default());
+            let mut client = ServeClient::connect_with_proto(server.local_addr(), proto).unwrap();
+            client.open("kept", tiny_spec(5)).unwrap();
+            for _ in 0..snn_obs::SPAN_RING {
+                client.ping().unwrap();
+                client.journal().unwrap();
+            }
+            let snap = client.metrics().unwrap();
+            assert!(
+                snap.spans.iter().any(|s| s.name == "serve.open"),
+                "proto {proto}: the open span survives a ring's worth of probes"
+            );
+            assert_eq!(
+                snap.histogram("serve.req.ping_us").count(),
+                snn_obs::SPAN_RING as u64,
+                "proto {proto}: probes are still timed"
+            );
+            server.shutdown();
+        }
+    }
+
     fn evict_dir(tag: &str) -> std::path::PathBuf {
         let dir =
             std::env::temp_dir().join(format!("snn-serve-evict-{}-{tag}", std::process::id()));

@@ -21,7 +21,7 @@ use snn_online::LearnerObs;
 /// Anything else — unknown or hostile verbs included — lands in
 /// `serve.req.other_us`, so a port scanner can never mint unbounded
 /// metric names.
-pub(crate) const VERBS: &[&str] = &[
+const VERBS: &[&str] = &[
     "hello",
     "ping",
     "stats",
@@ -40,6 +40,30 @@ pub(crate) const VERBS: &[&str] = &[
     "subscribe",
     "trace",
 ];
+
+/// Control verbs: health probes, scrapes and trace reads. They keep
+/// their latency histograms, exemplars and counters but record no ring
+/// span: a router's health loop alone sends every shard a `ping` and a
+/// `journal` per interval, enough to evict the request spans a trace is
+/// assembled from.
+const CONTROL_VERBS: &[&str] = &["ping", "stats", "metrics", "journal", "trace"];
+
+/// The verb a wire request's ring spans are named after (`serve.<verb>`),
+/// or `None` for a control verb, which records none. Unknown verbs
+/// collapse to `other`, mirroring the metric fallback, so hostile input
+/// cannot pollute the ring with garbage names.
+pub(crate) fn span_verb(verb: &str) -> Option<&'static str> {
+    (!CONTROL_VERBS.contains(&verb)).then(|| canonical(verb))
+}
+
+/// `verb` if it is in [`VERBS`], else `other`.
+fn canonical(verb: &str) -> &'static str {
+    VERBS
+        .iter()
+        .find(|&&v| v == verb)
+        .copied()
+        .unwrap_or("other")
+}
 
 /// Process-wide instance sequence: each manager gets a distinct rid
 /// prefix (`s0`, `s1`, …) so rids minted by co-hosted shards never
@@ -239,15 +263,15 @@ impl ServeObs {
     /// concrete, explainable request.
     pub(crate) fn record_request(&self, verb: &str, dur: std::time::Duration, rid: &str) {
         self.verb_hist(verb).record_duration(dur);
-        let canonical = if VERBS.contains(&verb) { verb } else { "other" };
+        let verb = canonical(verb);
         let us = u64::try_from(dur.as_micros()).unwrap_or(u64::MAX);
-        let mut fields: Vec<(&str, String)> = vec![("verb", canonical.to_string())];
+        let mut fields: Vec<(&str, String)> = vec![("verb", verb.to_string())];
         if let Some((queue_us, exec_us)) = self.take_phases(rid) {
             fields.push(("queue_us", queue_us.to_string()));
             fields.push(("exec_us", exec_us.to_string()));
         }
         self.registry
-            .exemplar(&format!("serve.req.{canonical}_us"), us, rid, &fields);
+            .exemplar(&format!("serve.req.{verb}_us"), us, rid, &fields);
     }
 
     /// The latency histogram for `verb` (the `other` bucket for verbs

@@ -20,6 +20,7 @@ use std::time::Duration;
 use neuro_energy::GpuSpec;
 
 use crate::mux::{run_mux, MuxHost};
+use crate::obs::{span_verb, ServeObs};
 use crate::protocol::{
     encode_predictions, extract_rid, format_response, hex_encode, parse_request, Request, Response,
     MAX_LINE_BYTES, PROTO_V2, PROTO_VERSION,
@@ -269,47 +270,45 @@ fn handle_connection(
         obs.record_request(verb, dur, &rid);
         obs.proto_verb_hist(PROTO_VERSION, verb)
             .record_duration(dur);
-        // Unknown verbs collapse to one span name, mirroring the metric
-        // fallback, so hostile input cannot pollute the trace ring with
-        // garbage names.
-        let canonical = if crate::obs::VERBS.contains(&verb) {
-            verb
-        } else {
-            "other"
-        };
-        obs.registry.span(
-            &format!("serve.{canonical}"),
-            &rid,
-            dur,
-            &request_phase_fields(carried),
-        );
+        let traced = span_verb(verb);
+        if let Some(v) = traced {
+            request_span(obs, v, &rid, dur, carried);
+        }
         let response = stamp_rid(response, &rid, carried);
         let w0 = std::time::Instant::now();
         let tx = write_response(&mut writer, &response)?;
         let wdur = w0.elapsed();
         obs.write_us.record_duration(wdur);
-        obs.registry.span(
-            "serve.phase.write",
-            &rid,
-            wdur,
-            &[
-                ("phase", "write".to_string()),
-                ("parent", "request".to_string()),
-            ],
-        );
+        if traced.is_some() {
+            write_span(obs, &rid, wdur);
+        }
         obs.count_wire(PROTO_VERSION, 0, tx as u64);
     }
 }
 
-/// The phase/parent fields of a wire-layer request span: the `request`
-/// phase is the shard-local root of the trace, linking under a routing
-/// tier's `relay` phase only when the rid actually rode in from one.
-fn request_phase_fields(carried: bool) -> Vec<(&'static str, String)> {
+/// Records a wire request's `serve.<verb>` span. Its `request` phase is
+/// the shard-local root of the trace, linking under a routing tier's
+/// `relay` phase only when the rid actually rode in from one.
+fn request_span(obs: &ServeObs, verb: &str, rid: &str, dur: Duration, carried: bool) {
     let mut fields = vec![("phase", "request".to_string())];
     if carried {
         fields.push(("parent", "relay".to_string()));
     }
-    fields
+    obs.registry
+        .span(&format!("serve.{verb}"), rid, dur, &fields);
+}
+
+/// Records the `write` phase span under a wire request's `request` span.
+fn write_span(obs: &ServeObs, rid: &str, dur: Duration) {
+    obs.registry.span(
+        "serve.phase.write",
+        rid,
+        dur,
+        &[
+            ("phase", "write".to_string()),
+            ("parent", "request".to_string()),
+        ],
+    );
 }
 
 /// Echoes a carried rid onto successful replies, so any client (or
@@ -397,17 +396,10 @@ impl MuxHost for ServeHost {
         let verb = line.split_whitespace().next().unwrap_or("");
         obs.record_request(verb, dur, &rid);
         obs.proto_verb_hist(PROTO_V2, verb).record_duration(dur);
-        let canonical = if crate::obs::VERBS.contains(&verb) {
-            verb
-        } else {
-            "other"
-        };
-        obs.registry.span(
-            &format!("serve.{canonical}"),
-            &rid,
-            dur,
-            &request_phase_fields(carried),
-        );
+        let traced = span_verb(verb);
+        if let Some(v) = traced {
+            request_span(obs, v, &rid, dur, carried);
+        }
         let response = stamp_rid(response, &rid, carried);
         // Proto 2's socket write happens on the shared writer thread, so
         // the write phase times what this request path owns: rendering
@@ -416,15 +408,9 @@ impl MuxHost for ServeHost {
         let out = format_response(&response);
         let wdur = w0.elapsed();
         obs.write_us.record_duration(wdur);
-        obs.registry.span(
-            "serve.phase.write",
-            &rid,
-            wdur,
-            &[
-                ("phase", "write".to_string()),
-                ("parent", "request".to_string()),
-            ],
-        );
+        if traced.is_some() {
+            write_span(obs, &rid, wdur);
+        }
         out
     }
 
@@ -449,8 +435,10 @@ impl MuxHost for ServeHost {
 
     fn on_queue_wait(&self, line: &str, waited: Duration) {
         // Only relayed (rid-bearing) frames get a demux-wait node: a
-        // minted rid here would never match the request span's rid.
-        if let Some(rid) = extract_rid(line) {
+        // minted rid here would never match the request span's rid. A
+        // control verb records no request span to hang it under.
+        let verb = line.split_whitespace().next().unwrap_or("");
+        if let Some(rid) = extract_rid(line).filter(|_| span_verb(verb).is_some()) {
             self.manager.obs().registry.span(
                 "serve.phase.demux_wait",
                 rid,

@@ -12,7 +12,7 @@ use snn_core::rng::seeded_rng;
 use snn_core::sim::run_sample;
 use snn_core::stdp::{PairStdp, TraceParams, TraceSet};
 use snn_core::synapse::WeightMatrix;
-use snn_data::SyntheticDigits;
+use snn_data::{Image, Scenario, SyntheticDigits};
 use spikedyn::{Method, Trainer};
 use std::hint::black_box;
 
@@ -110,15 +110,32 @@ fn bench_full_network_step(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_synthetic_digit(c: &mut Criterion) {
+/// The MNIST stand-in's generator: one 28×28 digit, and one session
+/// stream shaped like perfbench's `serve-closed` sessions (1000 scenario
+/// samples, downsampled to 14×14).
+fn bench_data(c: &mut Criterion) {
     let gen = SyntheticDigits::new(6);
+    let mut group = c.benchmark_group("data");
     let mut i = 0u64;
-    c.bench_function("synthetic_digit_28x28", |b| {
+    group.bench_function("synthetic_digit_28x28", |b| {
         b.iter(|| {
             i += 1;
             black_box(gen.sample((i % 10) as u8, i))
         })
     });
+    let classes: Vec<u8> = (0..10).collect();
+    group.sample_size(10);
+    group.bench_function("scenario_stream_1000_downsample2", |b| {
+        b.iter(|| {
+            let stream: Vec<Image> = Scenario::RecurringTasks
+                .stream(&gen, &classes, 1000, 7, 0)
+                .into_iter()
+                .map(|img| img.downsample(2))
+                .collect();
+            black_box(stream)
+        })
+    });
+    group.finish();
 }
 
 /// Scalar `run_sample` loop vs `Engine::infer_batch` at batch sizes
@@ -130,7 +147,7 @@ fn bench_scalar_vs_engine_batch(c: &mut Criterion) {
     use snn_runtime::{Engine, EngineConfig};
 
     let gen = SyntheticDigits::new(12);
-    let images: Vec<snn_data::Image> = (0..64)
+    let images: Vec<Image> = (0..64)
         .map(|i| gen.sample((i % 10) as u8, i).downsample(2))
         .collect();
     let present = PresentConfig {
@@ -236,7 +253,7 @@ criterion_group!(
     bench_weight_decay,
     bench_train_sample_per_method,
     bench_full_network_step,
-    bench_synthetic_digit,
+    bench_data,
     bench_scalar_vs_engine_batch,
     bench_inference_sample,
 );
