@@ -19,7 +19,9 @@
 //!   input → excitatory with either an explicit inhibitory layer
 //!   (Diehl & Cook style) or SpikeDyn's direct lateral inhibition.
 //! * [`sim`] — the clock-driven engine that presents one encoded sample to a
-//!   network, with hooks for plasticity rules and operation counting.
+//!   network, with hooks for plasticity rules and operation counting; its
+//!   inference entry reads shared weights and writes only per-sample
+//!   neuron state.
 //! * [`metrics`] — neuron-to-class assignment, accuracy and confusion
 //!   matrices for the unsupervised evaluation protocol.
 //! * [`ops`] — operation counters consumed by the `neuro-energy` crate to
@@ -72,6 +74,6 @@ pub mod synapse;
 
 pub use config::PresentConfig;
 pub use error::{SnnError, SnnResult};
-pub use network::{Inhibition, Snn, SnnConfig};
+pub use network::{Inhibition, NeuronState, Snn, SnnConfig};
 pub use ops::OpCounts;
-pub use sim::{run_sample, SampleResult};
+pub use sim::{infer_sample, run_sample, SampleResult};

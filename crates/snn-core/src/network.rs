@@ -182,6 +182,146 @@ pub struct Snn {
     pub traces: TraceSet,
 }
 
+/// The per-sample state a presentation writes: both populations (with the
+/// excitatory layer's adaptation potentials `θ`) and the synaptic traces.
+///
+/// Inference only reads the weights, so any number of these can run
+/// against one shared [`WeightMatrix`] through [`crate::sim::infer_sample`].
+/// A state is built from the network it will serve and keeps that
+/// network's layer parameters and inhibition wiring.
+#[derive(Debug, Clone)]
+pub struct NeuronState {
+    /// Excitatory population.
+    pub exc: LifLayer,
+    /// Inhibitory population (only for [`Inhibition::InhibitoryLayer`]).
+    pub inh: Option<LifLayer>,
+    /// Pre/post synaptic traces over the plastic projection.
+    pub traces: TraceSet,
+    inhibition: Inhibition,
+}
+
+impl NeuronState {
+    /// A copy of `net`'s populations, traces and inhibition wiring, with
+    /// no copy of its weights.
+    pub fn new(net: &Snn) -> Self {
+        NeuronState {
+            exc: net.exc.clone(),
+            inh: net.inh.clone(),
+            traces: net.traces.clone(),
+            inhibition: net.config.inhibition,
+        }
+    }
+
+    /// Mutable borrows of this state for the shared step code.
+    pub(crate) fn dynamics(&mut self) -> Dynamics<'_> {
+        Dynamics {
+            inhibition: self.inhibition,
+            exc: &mut self.exc,
+            inh: self.inh.as_mut(),
+            traces: &mut self.traces,
+        }
+    }
+}
+
+/// Mutable borrows of the state one presentation writes, lent by an
+/// [`Snn`] or a [`NeuronState`]: the one implementation of input delivery,
+/// stepping and settling behind both.
+pub(crate) struct Dynamics<'a> {
+    pub(crate) inhibition: Inhibition,
+    pub(crate) exc: &'a mut LifLayer,
+    pub(crate) inh: Option<&'a mut LifLayer>,
+    pub(crate) traces: &'a mut TraceSet,
+}
+
+impl Dynamics<'_> {
+    /// See [`Snn::deliver_input_spikes`].
+    pub(crate) fn deliver_input_spikes(
+        &mut self,
+        weights: &WeightMatrix,
+        spikes: &[u32],
+        ops: &mut OpCounts,
+    ) {
+        if spikes.is_empty() {
+            return;
+        }
+        weights.gather_active_into(spikes, self.exc.exc_conductances_mut());
+        for &k in spikes {
+            self.traces.on_pre_spike(k as usize, ops);
+        }
+        ops.syn_events += (self.exc.len() * spikes.len()) as u64;
+    }
+
+    /// See [`Snn::step`].
+    pub(crate) fn step(&mut self, dt_ms: f32, ops: &mut OpCounts) -> u32 {
+        let exc_spikes = self.exc.step(dt_ms, ops);
+        if exc_spikes > 0 {
+            // Collect indices first: routing mutates `self.exc`.
+            let spiked: Vec<usize> = self
+                .exc
+                .spiked()
+                .iter()
+                .enumerate()
+                .filter_map(|(j, &s)| if s { Some(j) } else { None })
+                .collect();
+            for &j in &spiked {
+                self.traces.on_post_spike(j, ops);
+            }
+            ops.kernel_launches += 1; // batched post-trace update
+            match self.inhibition {
+                Inhibition::DirectLateral { g_inh } => {
+                    for &j in &spiked {
+                        self.exc.inject_inh_all_but(j, g_inh, ops);
+                    }
+                    ops.kernel_launches += 1; // lateral inhibition scatter
+                }
+                Inhibition::InhibitoryLayer { w_exc_inh, .. } => {
+                    let inh = self
+                        .inh
+                        .as_mut()
+                        .expect("inhibitory layer exists for InhibitoryLayer wiring");
+                    for &j in &spiked {
+                        inh.inject_exc(j, w_exc_inh);
+                        ops.syn_events += 1;
+                    }
+                    ops.kernel_launches += 1; // exc→inh scatter
+                }
+                Inhibition::None => {}
+            }
+        }
+        // Inhibitory population dynamics run every step (their cost is the
+        // point of the §III-B comparison), firing back into the excitatory
+        // layer.
+        if let Some(inh) = self.inh.as_mut() {
+            let inh_spikes = inh.step(dt_ms, ops);
+            if inh_spikes > 0 {
+                if let Inhibition::InhibitoryLayer { w_inh_exc, .. } = self.inhibition {
+                    let spiked: Vec<usize> = inh
+                        .spiked()
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, &s)| if s { Some(i) } else { None })
+                        .collect();
+                    for i in spiked {
+                        self.exc.inject_inh_all_but(i, w_inh_exc, ops);
+                    }
+                    ops.kernel_launches += 1; // inh→exc scatter
+                }
+            }
+        }
+        self.traces.decay(dt_ms, ops);
+        exc_spikes
+    }
+
+    /// See [`Snn::settle`].
+    pub(crate) fn settle(&mut self) {
+        self.exc.settle();
+        if let Some(inh) = self.inh.as_mut() {
+            inh.settle();
+        }
+        self.traces.reset();
+    }
+}
+
 impl Snn {
     /// Builds a network with randomly initialised weights.
     pub fn new<R: Rng + ?Sized>(config: SnnConfig, rng: &mut R) -> Self {
@@ -271,23 +411,16 @@ impl Snn {
     /// then each spiking channel's pre trace is bumped.
     ///
     /// State effects (conductances, traces, op counts) are bit-identical to
-    /// calling [`Snn::deliver_input_spike`] once per listed channel; both
-    /// the scalar [`crate::sim::run_sample`] loop and the batched
-    /// `snn-runtime` engine go through this path.
+    /// calling [`Snn::deliver_input_spike`] once per listed channel; the
+    /// presentation loop behind both [`crate::sim::run_sample`] and
+    /// [`crate::sim::infer_sample`] runs this same code.
     ///
     /// # Panics
     ///
     /// Panics if any channel index is out of range.
     pub fn deliver_input_spikes(&mut self, spikes: &[u32], ops: &mut OpCounts) {
-        if spikes.is_empty() {
-            return;
-        }
-        self.weights
-            .gather_active_into(spikes, self.exc.exc_conductances_mut());
-        for &k in spikes {
-            self.traces.on_pre_spike(k as usize, ops);
-        }
-        ops.syn_events += (self.config.n_exc * spikes.len()) as u64;
+        let (weights, mut state) = self.split();
+        state.deliver_input_spikes(weights, spikes, ops);
     }
 
     /// Advances all populations by one timestep and routes competition.
@@ -302,72 +435,31 @@ impl Snn {
     /// Returns the number of excitatory spikes this step; the spike flags
     /// remain readable via `self.exc.spiked()`.
     pub fn step(&mut self, dt_ms: f32, ops: &mut OpCounts) -> u32 {
-        let exc_spikes = self.exc.step(dt_ms, ops);
-        if exc_spikes > 0 {
-            // Collect indices first: routing mutates `self.exc`.
-            let spiked: Vec<usize> = self
-                .exc
-                .spiked()
-                .iter()
-                .enumerate()
-                .filter_map(|(j, &s)| if s { Some(j) } else { None })
-                .collect();
-            for &j in &spiked {
-                self.traces.on_post_spike(j, ops);
-            }
-            ops.kernel_launches += 1; // batched post-trace update
-            match self.config.inhibition {
-                Inhibition::DirectLateral { g_inh } => {
-                    for &j in &spiked {
-                        self.exc.inject_inh_all_but(j, g_inh, ops);
-                    }
-                    ops.kernel_launches += 1; // lateral inhibition scatter
-                }
-                Inhibition::InhibitoryLayer { w_exc_inh, .. } => {
-                    let inh = self
-                        .inh
-                        .as_mut()
-                        .expect("inhibitory layer exists for InhibitoryLayer wiring");
-                    for &j in &spiked {
-                        inh.inject_exc(j, w_exc_inh);
-                        ops.syn_events += 1;
-                    }
-                    ops.kernel_launches += 1; // exc→inh scatter
-                }
-                Inhibition::None => {}
-            }
-        }
-        // Inhibitory population dynamics run every step (their cost is the
-        // point of the §III-B comparison), firing back into the excitatory
-        // layer.
-        if let Some(inh) = self.inh.as_mut() {
-            let inh_spikes = inh.step(dt_ms, ops);
-            if inh_spikes > 0 {
-                if let Inhibition::InhibitoryLayer { w_inh_exc, .. } = self.config.inhibition {
-                    let spiked: Vec<usize> = inh
-                        .spiked()
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, &s)| if s { Some(i) } else { None })
-                        .collect();
-                    for i in spiked {
-                        self.exc.inject_inh_all_but(i, w_inh_exc, ops);
-                    }
-                    ops.kernel_launches += 1; // inh→exc scatter
-                }
-            }
-        }
-        self.traces.decay(dt_ms, ops);
-        exc_spikes
+        self.split().1.step(dt_ms, ops)
     }
 
     /// Settles dynamic state between samples (keeps weights and `θ`).
     pub fn settle(&mut self) {
-        self.exc.settle();
-        if let Some(inh) = self.inh.as_mut() {
-            inh.settle();
-        }
-        self.traces.reset();
+        self.split().1.settle();
+    }
+
+    /// Splits the network into its weights and the state a presentation
+    /// writes, as disjoint borrows.
+    pub(crate) fn split(&mut self) -> (&mut WeightMatrix, Dynamics<'_>) {
+        let Snn {
+            config,
+            exc,
+            inh,
+            weights,
+            traces,
+        } = self;
+        let state = Dynamics {
+            inhibition: config.inhibition,
+            exc,
+            inh: inh.as_mut(),
+            traces,
+        };
+        (weights, state)
     }
 
     /// Applies per-row weight normalisation if the config enables it.

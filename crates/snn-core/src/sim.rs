@@ -5,14 +5,16 @@
 //! [`Plasticity`] rule each step. This is the single code path every method
 //! in the reproduction goes through — baseline, ASP and SpikeDyn differ
 //! only in the plasticity object and the network's inhibition wiring, so
-//! energy comparisons are apples-to-apples.
+//! energy comparisons are apples-to-apples. [`infer_sample`] runs the same
+//! loop for inference: it reads a shared [`WeightMatrix`] and writes only a
+//! per-sample [`NeuronState`].
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 pub use crate::config::PresentConfig;
 use crate::encoding::PoissonEncoder;
-use crate::network::Snn;
+use crate::network::{Dynamics, NeuronState, Snn};
 use crate::ops::OpCounts;
 use crate::stdp::TraceSet;
 use crate::synapse::WeightMatrix;
@@ -127,42 +129,62 @@ impl SampleResult {
     }
 }
 
-/// Invokes a plasticity hook with disjoint borrows of the network state.
-/// The argument list mirrors `PlasticityCtx` field by field; bundling them
-/// into a struct would just move the same list one call deeper.
-#[allow(clippy::too_many_arguments)]
-fn call_hook(
-    net: &mut Snn,
-    plasticity: &mut dyn Plasticity,
-    input_spikes: &[u32],
-    step: u32,
-    dt_ms: f32,
-    in_presentation: bool,
-    end_of_sample: bool,
-    ops: &mut OpCounts,
-) {
-    let Snn {
-        weights,
-        traces,
-        exc,
-        ..
-    } = net;
-    let (exc_spiked, thetas) = exc.spiked_and_thetas_mut();
-    let mut ctx = PlasticityCtx {
-        weights,
-        traces,
-        exc_spiked,
-        input_spikes,
-        thetas,
-        step,
-        dt_ms,
-        in_presentation,
-        ops,
-    };
-    if end_of_sample {
-        plasticity.end_sample(&mut ctx);
-    } else {
-        plasticity.on_step(&mut ctx);
+/// The weights a presentation reads, and whether it may learn: inference
+/// borrows them shared; training lends them, with the rule, to its hooks.
+enum Weights<'a> {
+    Read(&'a WeightMatrix),
+    Learn(&'a mut WeightMatrix, &'a mut dyn Plasticity),
+}
+
+impl Weights<'_> {
+    fn matrix(&self) -> &WeightMatrix {
+        match self {
+            Weights::Read(weights) => weights,
+            Weights::Learn(weights, _) => weights,
+        }
+    }
+
+    fn begin_sample(&mut self, n_exc: usize, n_input: usize) {
+        if let Weights::Learn(_, rule) = self {
+            rule.begin_sample(n_exc, n_input);
+        }
+    }
+
+    /// Invokes the plasticity hook, if any, with disjoint borrows of the
+    /// weights and the state. The argument list mirrors `PlasticityCtx`
+    /// field by field; bundling them into a struct would just move the
+    /// same list one call deeper.
+    #[allow(clippy::too_many_arguments)]
+    fn hook(
+        &mut self,
+        state: &mut Dynamics<'_>,
+        input_spikes: &[u32],
+        step: u32,
+        dt_ms: f32,
+        in_presentation: bool,
+        end_of_sample: bool,
+        ops: &mut OpCounts,
+    ) {
+        let Weights::Learn(weights, plasticity) = self else {
+            return;
+        };
+        let (exc_spiked, thetas) = state.exc.spiked_and_thetas_mut();
+        let mut ctx = PlasticityCtx {
+            weights,
+            traces: state.traces,
+            exc_spiked,
+            input_spikes,
+            thetas,
+            step,
+            dt_ms,
+            in_presentation,
+            ops,
+        };
+        if end_of_sample {
+            plasticity.end_sample(&mut ctx);
+        } else {
+            plasticity.on_step(&mut ctx);
+        }
     }
 }
 
@@ -184,13 +206,66 @@ pub fn run_sample<R: Rng + ?Sized>(
     net: &mut Snn,
     rates_hz: &[f32],
     cfg: &PresentConfig,
-    mut plasticity: Option<&mut dyn Plasticity>,
+    plasticity: Option<&mut dyn Plasticity>,
     rng: &mut R,
     ops: &mut OpCounts,
 ) -> SampleResult {
+    let (weights, state) = net.split();
+    let weights = match plasticity {
+        Some(rule) => Weights::Learn(weights, rule),
+        None => Weights::Read(weights),
+    };
+    present(weights, state, rates_hz, cfg, rng, ops)
+}
+
+/// Presents one rate-coded sample for inference: the [`run_sample`] loop
+/// without plasticity, reading `weights` and writing only `state`.
+///
+/// Results, op counts and the final `state` are bit-identical to
+/// `run_sample` with no plasticity on a network holding `weights` and
+/// `state`'s populations and traces. Because the weights are only read,
+/// any number of states can share one matrix across threads.
+///
+/// # Panics
+///
+/// Panics if `state` was built for a network of another shape than
+/// `weights`, or if `rates_hz.len()` differs from the input size.
+pub fn infer_sample<R: Rng + ?Sized>(
+    weights: &WeightMatrix,
+    state: &mut NeuronState,
+    rates_hz: &[f32],
+    cfg: &PresentConfig,
+    rng: &mut R,
+    ops: &mut OpCounts,
+) -> SampleResult {
+    assert!(
+        state.exc.len() == weights.n_post() && state.traces.x_pre().len() == weights.n_pre(),
+        "neuron state must match the weight matrix's shape"
+    );
+    present(
+        Weights::Read(weights),
+        state.dynamics(),
+        rates_hz,
+        cfg,
+        rng,
+        ops,
+    )
+}
+
+/// The presentation loop behind [`run_sample`] and [`infer_sample`].
+fn present<R: Rng + ?Sized>(
+    mut weights: Weights<'_>,
+    mut state: Dynamics<'_>,
+    rates_hz: &[f32],
+    cfg: &PresentConfig,
+    rng: &mut R,
+    ops: &mut OpCounts,
+) -> SampleResult {
+    let n_input = weights.matrix().n_pre();
+    let n_exc = state.exc.len();
     assert_eq!(
         rates_hz.len(),
-        net.n_input(),
+        n_input,
         "rate vector must match network input size"
     );
     let present_steps = cfg.present_steps();
@@ -202,35 +277,31 @@ pub fn run_sample<R: Rng + ?Sized>(
     let mut boosted: Vec<f32> = rates_hz.to_vec();
     let mut attempt = 0u32;
     let mut steps_run = 0u32;
-    let mut counts = vec![0u32; net.n_exc()];
+    let mut counts = vec![0u32; n_exc];
     let mut input_spikes_total = 0u64;
     let mut spike_buf: Vec<u32> = Vec::with_capacity(64);
 
     loop {
-        net.settle();
+        state.settle();
         counts.fill(0);
         let mut attempt_input_spikes = 0u64;
-        if let Some(p) = plasticity.as_deref_mut() {
-            p.begin_sample(net.n_exc(), net.n_input());
-        }
+        weights.begin_sample(n_exc, n_input);
         for step in 0..present_steps {
             PoissonEncoder::sample_step(&boosted, cfg.dt_ms, rng, &mut spike_buf, ops);
-            net.deliver_input_spikes(&spike_buf, ops);
+            state.deliver_input_spikes(weights.matrix(), &spike_buf, ops);
             if !spike_buf.is_empty() {
                 // Batched equivalents: one weight-column gather/add kernel
                 // and one pre-trace update kernel per step with input spikes.
                 ops.kernel_launches += 2;
             }
             attempt_input_spikes += spike_buf.len() as u64;
-            net.step(cfg.dt_ms, ops);
-            for (j, &s) in net.exc.spiked().iter().enumerate() {
+            state.step(cfg.dt_ms, ops);
+            for (j, &s) in state.exc.spiked().iter().enumerate() {
                 if s {
                     counts[j] += 1;
                 }
             }
-            if let Some(p) = plasticity.as_deref_mut() {
-                call_hook(net, p, &spike_buf, step, cfg.dt_ms, true, false, ops);
-            }
+            weights.hook(&mut state, &spike_buf, step, cfg.dt_ms, true, false, ops);
             steps_run += 1;
         }
         input_spikes_total += attempt_input_spikes;
@@ -239,33 +310,27 @@ pub fn run_sample<R: Rng + ?Sized>(
             // Rest window: zero input, network settles dynamically.
             spike_buf.clear();
             for step in 0..rest_steps {
-                net.step(cfg.dt_ms, ops);
-                if let Some(p) = plasticity.as_deref_mut() {
-                    call_hook(
-                        net,
-                        p,
-                        &spike_buf,
-                        present_steps + step,
-                        cfg.dt_ms,
-                        false,
-                        false,
-                        ops,
-                    );
-                }
-                steps_run += 1;
-            }
-            if let Some(p) = plasticity.as_deref_mut() {
-                call_hook(
-                    net,
-                    p,
+                state.step(cfg.dt_ms, ops);
+                weights.hook(
+                    &mut state,
                     &spike_buf,
-                    present_steps + rest_steps,
+                    present_steps + step,
                     cfg.dt_ms,
                     false,
-                    true,
+                    false,
                     ops,
                 );
+                steps_run += 1;
             }
+            weights.hook(
+                &mut state,
+                &spike_buf,
+                present_steps + rest_steps,
+                cfg.dt_ms,
+                false,
+                true,
+                ops,
+            );
             return SampleResult {
                 exc_spike_counts: counts,
                 input_spikes: input_spikes_total,
@@ -283,8 +348,10 @@ pub fn run_sample<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::SnnConfig;
+    use crate::network::{Inhibition, SnnConfig};
+    use crate::neuron::{AdaptiveThreshold, LifLayer};
     use crate::rng::seeded_rng;
+    use crate::stdp::TraceSet;
 
     fn tiny_net(seed: u64) -> Snn {
         let mut cfg = SnnConfig::direct_lateral(16, 4);
@@ -481,6 +548,123 @@ mod tests {
         // neurons over N steps, neuron updates exceed the exc-only count.
         let cfg2 = PresentConfig::fast();
         assert!(ops.neuron_updates >= u64::from(cfg2.total_steps()) * 8);
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Presents a quiet, a moderate and a loud sample through `run_sample`
+    /// (no plasticity) and through `infer_sample` on a copy of the same
+    /// state, with non-zero `θ` carried from sample to sample, asserting
+    /// bit identity after each. Returns whether any sample spiked and
+    /// whether any retried.
+    fn compare_entry_points(cfg: SnnConfig, present: &PresentConfig, seed: u64) -> (bool, bool) {
+        let label = format!("{:?} adapt={:?} {present:?}", cfg.inhibition, cfg.adapt);
+        let mut reference = Snn::new(cfg, &mut seeded_rng(seed));
+        for (j, theta) in reference.exc.thetas_mut().iter_mut().enumerate() {
+            *theta = 0.5 * (j + 1) as f32;
+        }
+        let weights = reference.weights.clone();
+        let mut state = NeuronState::new(&reference);
+        let (mut spiked, mut retried) = (false, false);
+        for (i, base_hz) in [5.0_f32, 60.0, 200.0].into_iter().enumerate() {
+            let rates: Vec<f32> = (0..16)
+                .map(|k| base_hz * ((k % 4) + 1) as f32 / 4.0)
+                .collect();
+            let seed = 100 + i as u64;
+            let mut ops_ref = OpCounts::default();
+            let expect = run_sample(
+                &mut reference,
+                &rates,
+                present,
+                None,
+                &mut seeded_rng(seed),
+                &mut ops_ref,
+            );
+            let mut ops = OpCounts::default();
+            let got = infer_sample(
+                &reference.weights,
+                &mut state,
+                &rates,
+                present,
+                &mut seeded_rng(seed),
+                &mut ops,
+            );
+            assert_eq!(got, expect, "{label}");
+            assert_eq!(ops, ops_ref, "{label}");
+            let exc = |l: &LifLayer| (bits(l.thetas()), bits(l.voltages()));
+            assert_eq!(exc(&state.exc), exc(&reference.exc), "{label}");
+            assert_eq!(
+                state.inh.as_ref().map(exc),
+                reference.inh.as_ref().map(exc),
+                "{label}"
+            );
+            let traces = |t: &TraceSet| (bits(t.x_pre()), bits(t.x_post()));
+            assert_eq!(traces(&state.traces), traces(&reference.traces), "{label}");
+            spiked |= expect.total_exc_spikes() > 0;
+            retried |= expect.retries > 0;
+        }
+        assert_eq!(reference.weights, weights, "{label}: weights written");
+        (spiked, retried)
+    }
+
+    #[test]
+    fn infer_sample_matches_run_sample_bitwise() {
+        let boosted = Some(crate::config::RetryPolicy {
+            min_spikes: 4,
+            rate_scale: 3.0,
+            max_retries: 3,
+        });
+        let (mut configs, mut spiking, mut retrying) = (0, 0, 0);
+        for inhibition in [
+            Inhibition::direct_lateral(),
+            Inhibition::inhibitory_layer(),
+            Inhibition::None,
+        ] {
+            for adapt in [Some(AdaptiveThreshold::default()), None] {
+                for retry in [None, boosted] {
+                    for t_rest_ms in [0.0, 20.0] {
+                        let cfg = SnnConfig {
+                            inhibition,
+                            adapt,
+                            w_init_max: 1.0,
+                            norm_target: None,
+                            ..SnnConfig::direct_lateral(16, 5)
+                        };
+                        let present = PresentConfig {
+                            dt_ms: 1.0,
+                            t_present_ms: 50.0,
+                            t_rest_ms,
+                            retry,
+                        };
+                        let (spiked, retried) = compare_entry_points(cfg, &present, configs);
+                        configs += 1;
+                        spiking += u32::from(spiked);
+                        retrying += u32::from(retried);
+                    }
+                }
+            }
+        }
+        assert_eq!(configs, 24);
+        assert!(spiking > 0, "no config spiked");
+        assert!(retrying > 0, "no config retried");
+    }
+
+    #[test]
+    #[should_panic(expected = "neuron state must match")]
+    fn infer_sample_rejects_state_of_another_shape() {
+        let net = tiny_net(32);
+        let other = Snn::new(SnnConfig::direct_lateral(16, 5), &mut seeded_rng(33));
+        let mut state = NeuronState::new(&other);
+        let _ = infer_sample(
+            &net.weights,
+            &mut state,
+            &[0.0; 16],
+            &PresentConfig::fast(),
+            &mut seeded_rng(34),
+            &mut OpCounts::default(),
+        );
     }
 
     #[test]

@@ -37,7 +37,7 @@ use snn_core::metrics::ClassAssignment;
 use snn_core::ops::OpCounts;
 use snn_data::Image;
 use snn_obs::{Counter, Histogram};
-use snn_runtime::{Engine, PoolHandle};
+use snn_runtime::Engine;
 use spikedyn::{AdaptiveResponse, Method, Trainer};
 
 use crate::drift::{DriftConfig, DriftDetector, DriftEvent};
@@ -222,22 +222,6 @@ impl OnlineLearner {
     /// Panics if `batch_size`, `metric_window`, `reservoir_capacity`,
     /// `assign_every` or the drift window is zero.
     pub fn new(config: OnlineConfig) -> Self {
-        Self::new_impl(config, None)
-    }
-
-    /// Like [`OnlineLearner::new`], but the learner's serving engine draws
-    /// replicas from `pool`, shared with other learners (the multi-session
-    /// path: see [`snn_runtime::Engine::from_network_shared`]). Results
-    /// are bit-identical to a private-pool learner with the same config.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`OnlineLearner::new`].
-    pub fn with_pool(config: OnlineConfig, pool: PoolHandle) -> Self {
-        Self::new_impl(config, Some(pool))
-    }
-
-    fn new_impl(config: OnlineConfig, pool: Option<PoolHandle>) -> Self {
         assert!(config.batch_size > 0, "batch size must be positive");
         assert!(
             config.reservoir_capacity > 0,
@@ -256,10 +240,7 @@ impl OnlineLearner {
             config.seed,
         )
         .with_max_rate(config.max_rate_hz);
-        let engine = match pool {
-            Some(pool) => trainer.engine_with_pool(pool),
-            None => trainer.engine(),
-        };
+        let engine = trainer.engine();
         let metrics = SlidingMetrics::new(config.metric_window, config.n_classes);
         let drift = DriftDetector::new(config.drift, config.n_classes);
         OnlineLearner {
@@ -326,7 +307,8 @@ impl OnlineLearner {
     }
 
     /// A point-in-time copy of the serving engine's replica-pool
-    /// counters (the shared pool's aggregate for pooled learners).
+    /// counters: the hit rate is the share of samples that reused pooled
+    /// neuron state.
     pub fn pool_stats(&self) -> snn_runtime::PoolStats {
         self.engine.pool_stats()
     }
@@ -563,28 +545,9 @@ impl OnlineLearner {
     /// structurally valid but cross-field-corrupt file must fail here, not
     /// panic later inside a batch).
     pub fn resume(snapshot: ModelSnapshot) -> SnnResult<Self> {
-        Self::resume_impl(snapshot, None)
-    }
-
-    /// Like [`OnlineLearner::resume`], but the rebuilt learner's serving
-    /// engine draws replicas from `pool`, shared with other learners (see
-    /// [`OnlineLearner::with_pool`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails under the same conditions as [`OnlineLearner::resume`].
-    pub fn resume_with_pool(snapshot: ModelSnapshot, pool: PoolHandle) -> SnnResult<Self> {
-        Self::resume_impl(snapshot, Some(pool))
-    }
-
-    fn resume_impl(snapshot: ModelSnapshot, pool: Option<PoolHandle>) -> SnnResult<Self> {
         let (trainer, parts) = Self::validate_and_restore(snapshot)?;
-        let engine = match pool {
-            Some(pool) => trainer.engine_with_pool(pool),
-            None => trainer.engine(),
-        };
         Ok(OnlineLearner {
-            engine,
+            engine: trainer.engine(),
             trainer,
             obs: None,
             config: parts.config,
@@ -602,10 +565,11 @@ impl OnlineLearner {
     /// Hot-swaps this learner onto `snapshot` **in place**: the snapshot's
     /// full state replaces the learner's, but the serving engine is kept
     /// and adopts the new weights through
-    /// [`snn_runtime::Engine::hot_swap`] — no engine rebuild, warm replica
-    /// pool. This is the wire-level model-swap path: a serving session
-    /// receives a snapshot between batches and continues bit-identically
-    /// to a learner resumed from that snapshot.
+    /// [`snn_runtime::Engine::hot_swap`] — one copy into the engine's
+    /// template, no rebuild, a warm pool of per-sample neuron state. This
+    /// is the wire-level model-swap path: a serving session receives a
+    /// snapshot between batches and continues bit-identically to a
+    /// learner resumed from that snapshot.
     ///
     /// The snapshot must carry **exactly** this learner's configuration
     /// (`snapshot.config == self.config`); changing configuration means a
@@ -924,32 +888,6 @@ mod tests {
         assert!(
             learner.trainer().active_response().is_neutral(),
             "rule must stay neutral when the hold window is zero"
-        );
-    }
-
-    #[test]
-    fn shared_pool_learner_is_bit_identical_to_private() {
-        let pool: snn_runtime::PoolHandle = std::sync::Arc::new(snn_runtime::ReplicaPool::new());
-        let s = stream(24, 11);
-        let mut private = OnlineLearner::new(tiny_config(Method::SpikeDyn));
-        let mut shared =
-            OnlineLearner::with_pool(tiny_config(Method::SpikeDyn), std::sync::Arc::clone(&pool));
-        for chunk in s.chunks(4) {
-            assert_eq!(
-                shared.ingest_batch(chunk).unwrap(),
-                private.ingest_batch(chunk).unwrap()
-            );
-        }
-        assert_eq!(
-            shared.checkpoint().to_bytes(),
-            private.checkpoint().to_bytes(),
-            "pool sharing must not leak into checkpoints"
-        );
-        // Resume through the shared pool as well.
-        let resumed = OnlineLearner::resume_with_pool(shared.checkpoint(), pool).unwrap();
-        assert_eq!(
-            resumed.checkpoint().to_bytes(),
-            private.checkpoint().to_bytes()
         );
     }
 

@@ -23,8 +23,9 @@
 //! ## Hot model swap
 //!
 //! The learner holds one long-lived engine and adopts each new weight
-//! state through [`snn_runtime::Engine::hot_swap`] — no per-batch network
-//! clones, and the replica pool stays warm. The same call serves external
+//! state through [`snn_runtime::Engine::hot_swap`] — one copy into the
+//! engine's template, which all its workers read, and the pool of
+//! per-sample neuron state stays warm. The same call serves external
 //! consumers that want to swap a deployed engine onto a freshly loaded
 //! snapshot between request batches.
 //!
@@ -33,11 +34,10 @@
 //! A session host (the `snn-serve` crate) drives the learner through the
 //! handle API instead of [`OnlineLearner::run`]: [`OnlineLearner::step`]
 //! processes one micro-batch and returns a [`StepOutcome`] with
-//! everything a serving layer reports back per request;
-//! [`OnlineLearner::with_pool`] / [`OnlineLearner::resume_with_pool`]
-//! let many concurrent learners share one warm `snn-runtime` replica
-//! pool; and [`OnlineLearner::adopt`] hot-swaps a *running* learner onto
-//! a received [`ModelSnapshot`] without rebuilding its engine.
+//! everything a serving layer reports back per request, and
+//! [`OnlineLearner::adopt`] hot-swaps a *running* learner onto a received
+//! [`ModelSnapshot`] without rebuilding its engine. Each learner owns its
+//! engine, in a session host as in process.
 //!
 //! ## Quick example
 //!

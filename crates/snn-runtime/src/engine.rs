@@ -1,11 +1,13 @@
 //! The batched execution engine.
 //!
-//! [`Engine`] owns an immutable template network plus a [`ReplicaPool`] and
-//! runs inference/evaluation batches sample-parallel: each worker checks out
-//! a replica, re-synchronises it to the template's learned state, simulates
-//! one whole sample through [`snn_core::sim::run_sample`] (the same scalar
-//! path the trainer uses, including the sparse event-driven propagation
-//! kernel) and returns the replica to the pool.
+//! [`Engine`] owns an immutable template network plus a [`ReplicaPool`] of
+//! per-sample neuron state and runs inference/evaluation batches
+//! sample-parallel: each worker checks out a replica, sets its `θ` from the
+//! template, simulates one whole sample through
+//! [`snn_core::sim::infer_sample`] against the template's one weight matrix
+//! (the presentation loop the trainer's `run_sample` calls, including the
+//! sparse event-driven propagation kernel) and returns the replica to the
+//! pool.
 //!
 //! Sample-level parallelism is the right grain for this workload: one
 //! sample is tens of thousands of sequential timesteps (hundreds of
@@ -22,13 +24,13 @@ use serde::{Deserialize, Serialize};
 use snn_core::config::PresentConfig;
 use snn_core::encoding::PoissonEncoder;
 use snn_core::metrics::{ClassAssignment, ConfusionMatrix};
-use snn_core::network::{Snn, SnnConfig};
+use snn_core::network::{NeuronState, Snn, SnnConfig};
 use snn_core::ops::OpCounts;
 use snn_core::rng::{derive_seed, seeded_rng};
-use snn_core::sim::{run_sample, SampleResult};
+use snn_core::sim::{infer_sample, SampleResult};
 use snn_data::Image;
 
-use crate::pool::{PoolHandle, ReplicaPool};
+use crate::pool::ReplicaPool;
 use crate::report::{BatchOutcome, EvalReport};
 
 /// Everything needed to build an [`Engine`] from scratch.
@@ -88,9 +90,9 @@ impl EngineConfig {
 /// Batched, sample-parallel inference/evaluation engine.
 ///
 /// See the crate docs for the determinism policy. The engine never mutates
-/// learned state: weights stay untouched and every replica's `θ` is
-/// overwritten from the template before each sample, so batch membership
-/// and scheduling cannot leak between samples.
+/// learned state: every worker reads the template's one weight matrix, and
+/// every replica's `θ` is overwritten from the template before each
+/// sample, so batch membership and scheduling cannot leak between samples.
 #[derive(Debug)]
 pub struct Engine {
     template: Snn,
@@ -99,12 +101,7 @@ pub struct Engine {
     theta_scale: f32,
     /// Template `θ` with `theta_scale` pre-applied (what replicas run with).
     scaled_thetas: Vec<f32>,
-    pool: PoolHandle,
-    /// True when `pool` is shared with other engines: checkout goes
-    /// through the architecture-matching path and *all* learned state
-    /// (weights, not just `θ`) is re-synced per sample, because a pooled
-    /// replica may have last served a different model.
-    shared: bool,
+    pool: ReplicaPool,
     /// Cumulative work counters (relaxed atomics; metering never touches
     /// replica state or seeds, so it cannot perturb results).
     meter: EngineMeter,
@@ -149,45 +146,6 @@ impl Engine {
         max_rate_hz: f32,
         theta_scale: f32,
     ) -> Self {
-        Self::build(
-            net,
-            present,
-            max_rate_hz,
-            theta_scale,
-            std::sync::Arc::new(ReplicaPool::new()),
-            false,
-        )
-    }
-
-    /// Like [`Engine::from_network`], but drawing replicas from a pool
-    /// **shared with other engines** (the multi-session serving path: N
-    /// models of one architecture share one warm replica working set).
-    ///
-    /// In shared mode the engine re-synchronises *all* learned state
-    /// (weights and `θ`) into the replica before every sample instead of
-    /// `θ` only — a pooled replica may have last served a different model.
-    /// The weight copy is O(weights) per sample, negligible against the
-    /// tens of thousands of sequential timesteps one sample simulates.
-    /// Results are bit-identical to a private-pool engine serving the same
-    /// model (pinned by this module's tests).
-    pub fn from_network_shared(
-        net: Snn,
-        present: PresentConfig,
-        max_rate_hz: f32,
-        theta_scale: f32,
-        pool: PoolHandle,
-    ) -> Self {
-        Self::build(net, present, max_rate_hz, theta_scale, pool, true)
-    }
-
-    fn build(
-        net: Snn,
-        present: PresentConfig,
-        max_rate_hz: f32,
-        theta_scale: f32,
-        pool: PoolHandle,
-        shared: bool,
-    ) -> Self {
         let scaled_thetas = net.exc.thetas().iter().map(|t| t * theta_scale).collect();
         Engine {
             template: net,
@@ -195,8 +153,7 @@ impl Engine {
             encoder: PoissonEncoder::new(max_rate_hz),
             theta_scale,
             scaled_thetas,
-            pool,
-            shared,
+            pool: ReplicaPool::new(),
             meter: EngineMeter::default(),
         }
     }
@@ -210,8 +167,8 @@ impl Engine {
         }
     }
 
-    /// A point-in-time copy of this engine's pool counters (shared
-    /// engines report the shared pool's aggregate).
+    /// A point-in-time copy of this engine's pool counters: the hit rate
+    /// is the share of samples that reused pooled neuron state.
     pub fn pool_stats(&self) -> crate::pool::PoolStats {
         self.pool.stats()
     }
@@ -231,48 +188,22 @@ impl Engine {
         &self.template
     }
 
-    /// True when this engine draws from a pool shared with other engines.
-    pub fn is_shared(&self) -> bool {
-        self.shared
-    }
-
     /// The presentation protocol used per sample.
     pub fn present(&self) -> &PresentConfig {
         &self.present
     }
 
-    /// Replaces the template's learned state with `net`'s (weights and
-    /// `θ`), dropping pooled replicas so later batches see the new state.
-    ///
-    /// On a shared pool the replicas are left pooled instead of dropped:
-    /// they may belong to other engines, and shared mode re-syncs every
-    /// replica's full learned state per sample anyway (stale-architecture
-    /// replicas are filtered out at checkout).
-    pub fn sync_from(&mut self, net: &Snn) {
-        self.scaled_thetas = net
-            .exc
-            .thetas()
-            .iter()
-            .map(|t| t * self.theta_scale)
-            .collect();
-        self.template = net.clone();
-        if !self.shared {
-            self.pool.clear();
-        }
-    }
-
     /// Hot-swaps the engine onto new learned state **without rebuilding**:
     /// the weight buffer (row-major by postsynaptic neuron) and raw
-    /// adaptation potentials `θ` are copied into the existing template and
-    /// into every idle pooled replica, so the next batch runs on the new
+    /// adaptation potentials `θ` are copied into the existing template,
+    /// the one copy every worker reads, so the next batch runs on the new
     /// model with zero allocations and a warm replica pool.
     ///
     /// This is the serving path for model-snapshot swaps between batches:
-    /// a long-running engine adopts each new checkpoint in O(weights)
-    /// copies. The engine's inference `θ` scale is re-applied to the new
+    /// a long-running engine adopts each new checkpoint in one O(weights)
+    /// copy. The engine's inference `θ` scale is re-applied to the new
     /// `θ` values. Architecture (layer sizes, inhibition wiring, protocol)
-    /// cannot change through this call — use [`Engine::sync_from`] or
-    /// rebuild for that.
+    /// cannot change through this call — build a new engine for that.
     ///
     /// # Errors
     ///
@@ -302,58 +233,29 @@ impl Engine {
         self.scaled_thetas.clear();
         self.scaled_thetas
             .extend(thetas.iter().map(|t| t * self.theta_scale));
-        // Private pool: replicas only re-synchronise θ per sample, so
-        // weights must be refreshed here for pooled replicas to serve the
-        // new model. Shared pool: replicas may belong to other engines and
-        // get a full learned-state re-sync per sample anyway.
-        if !self.shared {
-            self.pool.sync_each(|replica| {
-                replica.weights.as_mut_slice().copy_from_slice(weights);
-            });
-        }
         Ok(())
-    }
-
-    /// Checks a replica out of the pool (architecture-matched on a shared
-    /// pool, any replica on a private one — private replicas all share the
-    /// template's architecture by construction).
-    fn checkout(&self) -> Snn {
-        if self.shared {
-            self.pool.checkout_matching(&self.template)
-        } else {
-            self.pool.checkout(&self.template)
-        }
     }
 
     /// Simulates one sample on `replica` with the engine's protocol.
     fn run_one(
         &self,
-        replica: &mut Snn,
+        replica: &mut NeuronState,
         image: &Image,
         sample_seed: u64,
         ops: &mut OpCounts,
     ) -> SampleResult {
-        // Re-synchronise learned state: weights never change during
-        // inference, but `θ` evolves within a presentation, so it must be
-        // restored from the (scaled) template before every sample. On a
-        // shared pool the weights are re-synced too — the replica may have
-        // last served a different engine's model.
-        if self.shared {
-            replica
-                .weights
-                .as_mut_slice()
-                .copy_from_slice(self.template.weights.as_slice());
-        }
+        // `θ` evolves within a presentation, so it is restored from the
+        // (scaled) template before every sample; the loop settles the rest.
         replica
             .exc
             .thetas_mut()
             .copy_from_slice(&self.scaled_thetas);
         let rates = self.encoder.rates_hz(image.pixels());
-        run_sample(
+        infer_sample(
+            &self.template.weights,
             replica,
             &rates,
             &self.present,
-            None,
             &mut seeded_rng(sample_seed),
             ops,
         )
@@ -372,7 +274,7 @@ impl Engine {
             .par_iter()
             .enumerate()
             .map(|(i, image)| {
-                let mut replica = self.checkout();
+                let mut replica = self.pool.checkout(&self.template);
                 let mut ops = OpCounts::default();
                 let result = self.run_one(
                     &mut replica,
@@ -406,7 +308,7 @@ impl Engine {
     /// callers) can check bit-identity against [`Engine::infer_batch`].
     pub fn infer_sequential(&self, images: &[Image], batch_seed: u64) -> Vec<SampleResult> {
         let t0 = Instant::now();
-        let mut replica = self.checkout();
+        let mut replica = self.pool.checkout(&self.template);
         let mut ops = OpCounts::default();
         let results = images
             .iter()
@@ -596,23 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_from_adopts_new_weights() {
-        let mut engine = fast_engine(10);
-        let imgs = images(4);
-        let before = engine.infer_batch(&imgs, 5);
-        let mut net = engine.network().clone();
-        for j in 0..net.n_exc() {
-            for k in 0..net.n_input() {
-                net.weights.set(j, k, 0.9);
-            }
-        }
-        engine.sync_from(&net);
-        let after = engine.infer_batch(&imgs, 5);
-        assert_ne!(before, after, "stronger weights must change spiking");
-        assert!(engine.pool.idle() > 0);
-    }
-
-    #[test]
     fn hot_swap_matches_rebuild_and_keeps_pool_warm() {
         let mut engine = fast_engine(12);
         let imgs = images(6);
@@ -673,88 +558,6 @@ mod tests {
         assert!(engine.hot_swap(&weights[..10], &vec![0.0; n_exc]).is_err());
         assert!(engine.hot_swap(&weights, &vec![0.0; n_exc + 1]).is_err());
         assert!(engine.hot_swap(&weights, &vec![0.0; n_exc]).is_ok());
-    }
-
-    #[test]
-    fn shared_pool_engine_is_bit_identical_to_private() {
-        let private = fast_engine(20);
-        let shared = Engine::from_network_shared(
-            private.network().clone(),
-            *private.present(),
-            255.0,
-            1.0,
-            std::sync::Arc::new(crate::ReplicaPool::new()),
-        );
-        assert!(shared.is_shared() && !private.is_shared());
-        let imgs = images(8);
-        // Twice: the second round draws warm (possibly weight-stale in the
-        // general shared case) replicas from the pool.
-        for seed in [3, 4] {
-            assert_eq!(
-                shared.infer_batch(&imgs, seed),
-                private.infer_batch(&imgs, seed)
-            );
-        }
-    }
-
-    #[test]
-    fn shared_pool_isolates_engines_with_different_weights() {
-        // Two engines serving different models off ONE pool must each
-        // match an isolated private-pool reference, even when their
-        // batches interleave and replicas migrate between them.
-        let base = fast_engine(21);
-        let mut strong_net = base.network().clone();
-        for j in 0..strong_net.n_exc() {
-            for k in 0..strong_net.n_input() {
-                strong_net.weights.set(j, k, 0.8);
-            }
-        }
-        let imgs = images(6);
-        let ref_weak = base.infer_batch(&imgs, 9);
-        let ref_strong = Engine::from_network(strong_net.clone(), *base.present(), 255.0, 1.0)
-            .infer_batch(&imgs, 9);
-        assert_ne!(ref_weak, ref_strong, "the two models must differ");
-
-        let pool: crate::PoolHandle = std::sync::Arc::new(crate::ReplicaPool::new());
-        let weak = Engine::from_network_shared(
-            base.network().clone(),
-            *base.present(),
-            255.0,
-            1.0,
-            std::sync::Arc::clone(&pool),
-        );
-        let strong = Engine::from_network_shared(
-            strong_net,
-            *base.present(),
-            255.0,
-            1.0,
-            std::sync::Arc::clone(&pool),
-        );
-        for _ in 0..2 {
-            assert_eq!(weak.infer_batch(&imgs, 9), ref_weak);
-            assert_eq!(strong.infer_batch(&imgs, 9), ref_strong);
-        }
-        assert!(pool.idle() > 0, "replicas returned to the shared pool");
-    }
-
-    #[test]
-    fn shared_hot_swap_serves_new_model() {
-        let pool: crate::PoolHandle = std::sync::Arc::new(crate::ReplicaPool::new());
-        let base = fast_engine(22);
-        let mut engine =
-            Engine::from_network_shared(base.network().clone(), *base.present(), 255.0, 1.0, pool);
-        let imgs = images(5);
-        engine.infer_batch(&imgs, 1); // warm the shared pool
-        let mut net = engine.network().clone();
-        for t in net.exc.thetas_mut() {
-            *t = 3.0;
-        }
-        let reference =
-            Engine::from_network(net.clone(), *engine.present(), 255.0, 1.0).infer_batch(&imgs, 2);
-        engine
-            .hot_swap(net.weights.as_slice(), net.exc.thetas())
-            .unwrap();
-        assert_eq!(engine.infer_batch(&imgs, 2), reference);
     }
 
     #[test]

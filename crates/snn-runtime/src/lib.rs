@@ -4,9 +4,10 @@
 //! samples through the simulator per experiment. The scalar
 //! [`snn_core::sim::run_sample`] path presents them one at a time; this
 //! crate adds the first scaling multiplier on top of it: an [`Engine`] that
-//! owns a pool of network replicas and fans a batch of samples out across
-//! worker threads with `rayon`, one whole-sample simulation per unit of
-//! work.
+//! fans a batch of samples out across worker threads with `rayon`, one
+//! whole-sample simulation per unit of work. Every worker reads the
+//! engine's one weight matrix through [`snn_core::sim::infer_sample`] and
+//! writes only a pooled per-sample [`snn_core::network::NeuronState`].
 //!
 //! ## Determinism policy
 //!
@@ -14,22 +15,13 @@
 //! sample's Poisson encoding noise comes from a private RNG seeded as
 //! `derive_seed(batch_seed, sample_index)` ([`snn_core::rng::derive_seed`]),
 //! so no sample's randomness depends on scheduling, thread count or the
-//! presence of other samples. Replicas are re-synchronised to the engine's
-//! template state (weights, adaptation potentials `θ`) before every sample,
-//! and results are assembled in submission order. The property is pinned by
-//! tests that compare [`Engine::infer_batch`] against
-//! [`Engine::infer_sequential`] bit for bit and across
-//! `RAYON_NUM_THREADS` settings. See `DESIGN.md` for the full policy.
-//!
-//! ## Shared replica pools
-//!
-//! Several engines can draw from one [`ReplicaPool`] through a
-//! [`PoolHandle`] ([`Engine::from_network_shared`]): the `snn-serve`
-//! session layer uses this so N concurrent sessions share one warm
-//! replica working set bounded by peak concurrency, not session count.
-//! Shared engines re-sync the *full* learned state (weights and `θ`) into
-//! a replica before every sample, so sharing never changes results —
-//! shared and private engines are bit-identical for the same model.
+//! presence of other samples. Inference never writes the weights, each
+//! replica's adaptation potentials `θ` are re-synchronised to the engine's
+//! template before every sample, and results are assembled in submission
+//! order. The property is pinned by tests that compare
+//! [`Engine::infer_batch`] against [`Engine::infer_sequential`] bit for
+//! bit and across `RAYON_NUM_THREADS` settings. See `DESIGN.md` for the
+//! full policy.
 //!
 //! ## Quick example
 //!
@@ -55,5 +47,5 @@ pub mod pool;
 pub mod report;
 
 pub use engine::{Engine, EngineConfig, EngineStats};
-pub use pool::{PoolHandle, PoolStats, ReplicaPool};
+pub use pool::{PoolStats, ReplicaPool};
 pub use report::{BatchOutcome, EvalReport};

@@ -1,53 +1,39 @@
-//! Replica pooling: reuse of network clones across batches.
+//! Replica pooling: reuse of per-sample neuron state across batches.
 //!
-//! Cloning a network is cheap relative to simulating a sample but not free
-//! (the weight matrix of a paper-scale N400 model is ~1.2 MB), so the
-//! engine keeps finished replicas in a pool and hands them back out on the
-//! next batch instead of re-cloning the template for every worker.
-//!
-//! A pool can also be **shared between engines** through a [`PoolHandle`]:
-//! the serving layer hosts many sessions whose models share one
-//! architecture, and a shared pool keeps the replica working set bounded
-//! by peak concurrency instead of session count. Shared checkout goes
-//! through [`ReplicaPool::checkout_matching`], which only hands back
-//! architecture-compatible replicas; the engine's shared mode re-syncs
-//! *all* learned state (weights and `θ`) before every sample, so a replica
-//! last used by a different model can never leak state.
+//! A replica is a [`NeuronState`]: the populations and traces one sample
+//! writes, never the weights, which every worker reads from the engine's
+//! one template. Building one is cheap but not free, so the engine keeps
+//! finished replicas in a pool and hands them back out on the next batch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
-use snn_core::network::Snn;
+use snn_core::network::{NeuronState, Snn};
 
-/// A cloneable, thread-safe handle to a [`ReplicaPool`] shared by several
-/// engines (see [`crate::Engine::from_network_shared`]).
-pub type PoolHandle = Arc<ReplicaPool>;
-
-/// A lock-guarded stack of network replicas.
+/// A lock-guarded stack of replicas.
 ///
 /// Checkout order is unspecified (workers race for the lock); this is safe
-/// because the engine re-synchronises every replica to the template state
-/// before each sample, so replicas are interchangeable by construction.
-#[derive(Debug)]
+/// because the engine re-synchronises every replica's `θ` to the template
+/// before each sample and the presentation loop settles the rest, so
+/// replicas are interchangeable by construction.
+#[derive(Debug, Default)]
 pub struct ReplicaPool {
-    replicas: Mutex<Vec<Snn>>,
-    /// Idle replicas beyond this are dropped on [`ReplicaPool::restore`].
-    capacity: usize,
+    replicas: Mutex<Vec<NeuronState>>,
     checkouts: AtomicU64,
     hits: AtomicU64,
     wait_us: AtomicU64,
 }
 
 /// A point-in-time copy of a pool's checkout counters. Hits are checkouts
-/// satisfied by a pooled replica (a miss clones the template); `wait_us`
+/// satisfied by a pooled replica (a miss builds a fresh one); `wait_us`
 /// is cumulative time spent acquiring the pool lock — contention, not
 /// simulation work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Total checkouts (hits + misses).
     pub checkouts: u64,
-    /// Checkouts served by a pooled replica instead of a template clone.
+    /// Checkouts served by a pooled replica instead of a fresh one.
     pub hits: u64,
     /// Cumulative microseconds workers waited on the pool lock.
     pub wait_us: u64,
@@ -64,36 +50,16 @@ impl PoolStats {
     }
 }
 
-impl Default for ReplicaPool {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ReplicaPool {
-    /// Creates an empty, unbounded pool (a private engine's pool can
-    /// never exceed its worker count, so no bound is needed).
+    /// Creates an empty pool. An engine's pool never holds more replicas
+    /// than the engine has had concurrent workers.
     pub fn new() -> Self {
-        Self::with_capacity(usize::MAX)
+        Self::default()
     }
 
-    /// Creates an empty pool that keeps at most `capacity` idle replicas
-    /// — the right constructor for a pool **shared across sessions**,
-    /// where heterogeneous architectures would otherwise accumulate
-    /// stale replicas for the server's whole lifetime (mismatched shapes
-    /// are skipped at checkout, never reclaimed).
-    pub fn with_capacity(capacity: usize) -> Self {
-        ReplicaPool {
-            replicas: Mutex::new(Vec::new()),
-            capacity,
-            checkouts: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            wait_us: AtomicU64::new(0),
-        }
-    }
-
-    /// Takes a replica from the pool, or clones `template` when empty.
-    pub fn checkout(&self, template: &Snn) -> Snn {
+    /// Takes a replica from the pool, or builds one from `template` when
+    /// empty.
+    pub fn checkout(&self, template: &Snn) -> NeuronState {
         let t0 = Instant::now();
         let popped = self
             .replicas
@@ -101,7 +67,7 @@ impl ReplicaPool {
             .expect("replica pool lock poisoned")
             .pop();
         self.meter(t0, popped.is_some());
-        popped.unwrap_or_else(|| template.clone())
+        popped.unwrap_or_else(|| NeuronState::new(template))
     }
 
     /// Records one checkout in the pool counters. Relaxed atomics only —
@@ -126,55 +92,12 @@ impl ReplicaPool {
         }
     }
 
-    /// Returns a replica to the pool for reuse by later batches; dropped
-    /// instead when the pool already holds `capacity` idle replicas.
-    pub fn restore(&self, replica: Snn) {
-        let mut replicas = self.replicas.lock().expect("replica pool lock poisoned");
-        if replicas.len() < self.capacity {
-            replicas.push(replica);
-        }
-    }
-
-    /// Takes a replica whose architecture matches `template`'s (equal
-    /// [`snn_core::network::SnnConfig`]), or clones `template` when no
-    /// compatible replica is pooled. Mismatched replicas are left pooled
-    /// for their own engines.
-    ///
-    /// Unlike [`ReplicaPool::checkout`], this is the safe checkout on a
-    /// pool **shared by engines serving different models**: the caller
-    /// must re-synchronise every piece of learned state (weights *and*
-    /// `θ`) before each sample, which the engine's shared mode does.
-    pub fn checkout_matching(&self, template: &Snn) -> Snn {
-        let t0 = Instant::now();
-        let mut replicas = self.replicas.lock().expect("replica pool lock poisoned");
-        if let Some(i) = replicas.iter().position(|r| r.config == template.config) {
-            let replica = replicas.swap_remove(i);
-            drop(replicas);
-            self.meter(t0, true);
-            return replica;
-        }
-        drop(replicas);
-        self.meter(t0, false);
-        template.clone()
-    }
-
-    /// Applies `f` to every idle replica in place — the hot-swap path:
-    /// when only learned state (weights, `θ`) changes, pooled replicas are
-    /// refreshed instead of dropped, so no re-cloning happens on the next
-    /// batch.
-    pub fn sync_each(&self, mut f: impl FnMut(&mut Snn)) {
-        let mut replicas = self.replicas.lock().expect("replica pool lock poisoned");
-        for replica in replicas.iter_mut() {
-            f(replica);
-        }
-    }
-
-    /// Drops every pooled replica (used when the template changes shape).
-    pub fn clear(&self) {
+    /// Returns a replica to the pool for reuse by later batches.
+    pub fn restore(&self, replica: NeuronState) {
         self.replicas
             .lock()
             .expect("replica pool lock poisoned")
-            .clear();
+            .push(replica);
     }
 
     /// Number of idle replicas currently pooled.
@@ -202,51 +125,11 @@ mod tests {
         let t = template();
         assert_eq!(pool.idle(), 0);
         let a = pool.checkout(&t);
-        assert_eq!(pool.idle(), 0, "empty pool clones instead of blocking");
+        assert_eq!(pool.idle(), 0, "empty pool builds instead of blocking");
         pool.restore(a);
         assert_eq!(pool.idle(), 1);
         let _b = pool.checkout(&t);
         assert_eq!(pool.idle(), 0, "restored replica is handed back out");
-    }
-
-    #[test]
-    fn checkout_matching_skips_incompatible_replicas() {
-        let pool = ReplicaPool::new();
-        let small = template();
-        let big = Snn::new(SnnConfig::direct_lateral(9, 5), &mut seeded_rng(2));
-        pool.restore(big.clone());
-        // The pooled replica has a different architecture: it must stay
-        // pooled and the checkout must clone the template instead.
-        let got = pool.checkout_matching(&small);
-        assert_eq!(got.n_exc(), small.n_exc());
-        assert_eq!(pool.idle(), 1, "incompatible replica stays pooled");
-        // A matching replica is handed back out.
-        let got_big = pool.checkout_matching(&big);
-        assert_eq!(got_big.n_exc(), big.n_exc());
-        assert_eq!(pool.idle(), 0);
-    }
-
-    #[test]
-    fn bounded_pool_drops_restores_beyond_capacity() {
-        let pool = ReplicaPool::with_capacity(2);
-        for _ in 0..4 {
-            pool.restore(template());
-        }
-        assert_eq!(pool.idle(), 2, "capacity bounds the idle working set");
-        // An unbounded pool keeps everything.
-        let unbounded = ReplicaPool::new();
-        for _ in 0..4 {
-            unbounded.restore(template());
-        }
-        assert_eq!(unbounded.idle(), 4);
-    }
-
-    #[test]
-    fn pool_handle_shares_one_pool() {
-        let handle: PoolHandle = Arc::new(ReplicaPool::new());
-        let other = Arc::clone(&handle);
-        handle.restore(template());
-        assert_eq!(other.idle(), 1, "handles see the same replicas");
     }
 
     #[test]
@@ -260,22 +143,6 @@ mod tests {
         assert_eq!(stats.checkouts, 2);
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.hit_rate(), 0.5);
-        // Matching checkout meters too.
-        let big = Snn::new(SnnConfig::direct_lateral(9, 5), &mut seeded_rng(2));
-        let _c = pool.checkout_matching(&big); // miss: no compatible replica
-        assert_eq!(pool.stats().checkouts, 3);
-        assert_eq!(pool.stats().hits, 1);
         assert_eq!(PoolStats::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn clear_empties_the_pool() {
-        let pool = ReplicaPool::new();
-        let t = template();
-        pool.restore(t.clone());
-        pool.restore(t);
-        assert_eq!(pool.idle(), 2);
-        pool.clear();
-        assert_eq!(pool.idle(), 0);
     }
 }

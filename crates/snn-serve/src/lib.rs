@@ -17,10 +17,10 @@
 //! * **Work-conserving scheduling** — one persistent worker per core
 //!   checks out whichever session became ready first, runs at most
 //!   [`ServeLimits::max_jobs_per_tick`] of its jobs and hands it straight
-//!   back, so no session waits for another's work to end; every session
-//!   runs over **one shared warm `snn-runtime` replica pool**
-//!   ([`snn_runtime::Engine::from_network_shared`]), so the replica
-//!   working set is bounded by the worker count, not session count.
+//!   back, so no session waits for another's work to end. Every session
+//!   owns its learner's engine, as an in-process learner does; the
+//!   engine's workers read its one weight matrix and keep only small
+//!   per-sample neuron state between batches.
 //! * **Durability over the wire** — `checkpoint` streams out the full
 //!   [`snn_online::ModelSnapshot`]; `restore` opens a new session from
 //!   one; `swap` hot-swaps a *running* session onto one without

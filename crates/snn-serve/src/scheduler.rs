@@ -9,13 +9,12 @@
 //! worker's session, so a request that arrives while other sessions are
 //! running starts as soon as a worker is free. The workers are vendored
 //! `rayon` threads, so each session's engine runs its batch fan-out on
-//! the worker rather than spawning threads of its own, and all sessions
-//! share one `snn-runtime` replica pool.
+//! the worker rather than spawning threads of its own.
 //!
 //! Parallel session execution cannot perturb results: every learner's
-//! randomness is derived from its own persisted counters and replicas are
-//! fully re-synced per sample (see `snn-runtime`'s shared-pool mode), so
-//! a session's outputs are bit-identical however its checkouts interleave
+//! randomness is derived from its own persisted counters and each session
+//! owns its engine, whose replicas carry no state between samples, so a
+//! session's outputs are bit-identical however its checkouts interleave
 //! with other sessions' and whichever worker runs them. The integration
 //! test pins this by comparing served sessions against single-process
 //! references.

@@ -36,7 +36,6 @@ use std::time::{Duration, Instant};
 use neuro_energy::GpuSpec;
 use snn_data::Image;
 use snn_online::{EnergyReport, ModelSnapshot, OnlineLearner, OnlineReport, StepOutcome};
-use snn_runtime::{PoolHandle, ReplicaPool};
 
 use crate::obs::ServeObs;
 use crate::protocol::SessionSpec;
@@ -377,7 +376,6 @@ struct ShadowEntry {
 pub struct SessionManager {
     state: Mutex<Registry>,
     work_ready: Condvar,
-    pool: PoolHandle,
     limits: ServeLimits,
     gpu: GpuSpec,
     evict_dir: Option<PathBuf>,
@@ -389,9 +387,9 @@ pub struct SessionManager {
 }
 
 impl SessionManager {
-    /// Creates an empty registry with one shared replica pool. Eviction
-    /// (idle-timeout sweeps and the `evict` request) stays disabled
-    /// unless `evict_dir` names a directory to checkpoint victims into.
+    /// Creates an empty registry. Eviction (idle-timeout sweeps and the
+    /// `evict` request) stays disabled unless `evict_dir` names a
+    /// directory to checkpoint victims into.
     pub fn new(limits: ServeLimits, gpu: GpuSpec, evict_dir: Option<PathBuf>) -> Self {
         SessionManager {
             state: Mutex::new(Registry {
@@ -405,17 +403,6 @@ impl SessionManager {
                 total_samples: 0,
             }),
             work_ready: Condvar::new(),
-            // Bounded to peak concurrent demand: each scheduler worker
-            // runs one session at a time and that session's engine runs
-            // its batch on the worker (nested fan-outs do not spawn), so
-            // about one replica per worker is live at once. The clamp
-            // keeps the idle working set from growing with session or
-            // stale-architecture count over the server's lifetime; under
-            // demand beyond the cap, restores drop and later batches
-            // re-clone (bounded memory over clone avoidance).
-            pool: std::sync::Arc::new(ReplicaPool::with_capacity(
-                rayon::current_num_threads().clamp(8, 128),
-            )),
             limits,
             gpu,
             evict_dir,
@@ -458,8 +445,7 @@ impl SessionManager {
     /// atomically at insert.
     pub(crate) fn open(&self, id: &str, spec: &SessionSpec) -> Result<(), ServeError> {
         validate_spec(spec)?;
-        let mut learner =
-            OnlineLearner::with_pool(spec.online_config(), std::sync::Arc::clone(&self.pool));
+        let mut learner = OnlineLearner::new(spec.online_config());
         learner.set_obs(self.obs.learner_obs());
         self.insert(id, learner)
     }
@@ -476,8 +462,8 @@ impl SessionManager {
         let t0 = Instant::now();
         let snap =
             ModelSnapshot::from_bytes(snapshot).map_err(|e| ServeError::Snapshot(e.to_string()))?;
-        let mut learner = OnlineLearner::resume_with_pool(snap, std::sync::Arc::clone(&self.pool))
-            .map_err(|e| ServeError::Snapshot(e.to_string()))?;
+        let mut learner =
+            OnlineLearner::resume(snap).map_err(|e| ServeError::Snapshot(e.to_string()))?;
         self.obs.decode_us.record_duration(t0.elapsed());
         self.obs.decode_bytes.record(snapshot.len() as u64);
         learner.set_obs(self.obs.learner_obs());
@@ -807,8 +793,8 @@ impl SessionManager {
 
     /// Renders this server's full metrics exposition (`snn-obs` text
     /// format): the cumulative counters/histograms/spans plus
-    /// point-in-time gauges (session count, queue depth, joules, replica
-    /// pool state) published at scrape time. Served by the `metrics`
+    /// point-in-time gauges (session count, queue depth, joules)
+    /// published at scrape time. Served by the `metrics`
     /// wire verb, hex-encoded into the reply's `data` field.
     pub fn metrics_text(&self) -> String {
         let stats = self.stats();
@@ -821,12 +807,6 @@ impl SessionManager {
         r.gauge("serve.total_samples")
             .set(stats.total_samples as f64);
         r.gauge("serve.total_j").set(stats.total_j);
-        let pool = self.pool.stats();
-        r.gauge("runtime.pool.idle").set(self.pool.idle() as f64);
-        r.gauge("runtime.pool.checkouts").set(pool.checkouts as f64);
-        r.gauge("runtime.pool.hits").set(pool.hits as f64);
-        r.gauge("runtime.pool.wait_us").set(pool.wait_us as f64);
-        r.gauge("runtime.pool.hit_rate").set(pool.hit_rate());
         // Build/version attribution for mixed-version clusters: the
         // exposition is numeric-only, so the version string rides in the
         // gauge *name* (`build.info.<version> = 1`, the Prometheus info

@@ -140,8 +140,10 @@ fn bench_data(c: &mut Criterion) {
 
 /// Scalar `run_sample` loop vs `Engine::infer_batch` at batch sizes
 /// 1/8/64 — the speedup the `snn-runtime` subsystem exists to deliver.
-/// Both sides run the identical per-sample work (same seeds, same sparse
-/// kernel); the batched side adds rayon fan-out and replica pooling.
+/// Both sides run the identical per-sample work (same seeds, same
+/// presentation loop and sparse kernel); the batched side adds rayon
+/// fan-out over one shared weight matrix and pooled per-sample neuron
+/// state.
 fn bench_scalar_vs_engine_batch(c: &mut Criterion) {
     use snn_core::network::SnnConfig;
     use snn_runtime::{Engine, EngineConfig};

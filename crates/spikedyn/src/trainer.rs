@@ -288,28 +288,14 @@ impl Trainer {
     /// stale weights. The cost is one network clone per *batch* of
     /// samples, amortised across the batch; long-lived callers that
     /// control their own mutation points should hold an `Engine` directly
-    /// and refresh it with `Engine::sync_from`.
+    /// and refresh it with [`Engine::hot_swap`] (see
+    /// [`Trainer::responses_with`]).
     pub fn engine(&self) -> Engine {
         Engine::from_network(
             self.net.clone(),
             self.infer_present,
             self.encoder.max_rate_hz(),
             self.method.infer_theta_scale(),
-        )
-    }
-
-    /// Like [`Trainer::engine`], but drawing replicas from a pool shared
-    /// with other engines (see [`snn_runtime::Engine::from_network_shared`]).
-    /// The multi-session serving layer uses this so concurrent learners
-    /// share one warm replica working set; results are bit-identical to a
-    /// private-pool engine.
-    pub fn engine_with_pool(&self, pool: snn_runtime::PoolHandle) -> Engine {
-        Engine::from_network_shared(
-            self.net.clone(),
-            self.infer_present,
-            self.encoder.max_rate_hz(),
-            self.method.infer_theta_scale(),
-            pool,
         )
     }
 
