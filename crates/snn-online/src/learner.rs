@@ -19,6 +19,15 @@
 //! 5. periodically refits the neuron→class assignment from a bounded
 //!    reservoir of recent labelled samples.
 //!
+//! Steps 1 and 3 run at once
+//! ([`spikedyn::Trainer::infer_and_train_with`]): prediction reads only
+//! the engine's hot-swapped copy of the pre-update weights, training
+//! writes only the trainer's, and each draws its own seeds into its own op
+//! meter, so the overlap cannot change a byte. On a `rayon` worker (an
+//! `snn-serve` scheduler worker) or with one thread the two run one after
+//! the other on the calling thread. Steps 2, 4 and 5 follow in order once
+//! both have finished.
+//!
 //! Everything the loop mutates is captured by
 //! [`OnlineLearner::checkpoint`] into a [`ModelSnapshot`]; resuming from
 //! the snapshot and feeding the identical remaining stream reproduces the
@@ -313,9 +322,9 @@ impl OnlineLearner {
         self.engine.pool_stats()
     }
 
-    /// Processes one micro-batch: predict (batched engine) → detect →
-    /// train (scalar plasticity) → respond → maybe refit assignment.
-    /// Returns the prequential predictions, one per sample.
+    /// Processes one micro-batch: predict (batched engine) and train
+    /// (scalar plasticity) at once → detect → respond → maybe refit
+    /// assignment. Returns the prequential predictions, one per sample.
     ///
     /// Checkpoints taken between `ingest_batch` calls are exact pause
     /// points: resuming and replaying the identical remaining batches
@@ -339,9 +348,10 @@ impl OnlineLearner {
             return Ok(Vec::new());
         }
 
-        // 1. Prequential prediction on the pre-update model, batched
-        //    through the hot-swapped long-lived engine.
-        let results = self.trainer.infer_results_with(&mut self.engine, batch)?;
+        // 1 + 3. Prequential prediction on the pre-update model, batched
+        //    through the hot-swapped long-lived engine, run at once with
+        //    the scalar plasticity pass over the batch.
+        let results = self.trainer.infer_and_train_with(&mut self.engine, batch)?;
 
         // 2. Metrics + drift detection, in stream order. A large batch can
         //    complete several detector windows, so every event is logged.
@@ -370,9 +380,8 @@ impl OnlineLearner {
             }
         }
 
-        // 3. Scalar plasticity pass over the batch, feeding the reservoir.
+        // 3. The batch trained above feeds the reservoir.
         for img in batch {
-            self.trainer.train_image(img);
             if self.reservoir.len() == self.config.reservoir_capacity {
                 self.reservoir.pop_front();
             }

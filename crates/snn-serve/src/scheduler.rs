@@ -8,8 +8,9 @@
 //! the session if jobs remain), repeat. No worker ever waits for another
 //! worker's session, so a request that arrives while other sessions are
 //! running starts as soon as a worker is free. The workers are vendored
-//! `rayon` threads, so each session's engine runs its batch fan-out on
-//! the worker rather than spawning threads of its own.
+//! `rayon` threads, so a session's whole learner step, its engine's batch
+//! fan-out and its `rayon::join` of prediction with training included,
+//! runs on the worker rather than spawning threads of its own.
 //!
 //! Parallel session execution cannot perturb results: every learner's
 //! randomness is derived from its own persisted counters and each session
@@ -64,8 +65,8 @@ pub(crate) struct FinishedUnit {
 /// queues have drained. Intended to own a dedicated thread.
 pub(crate) fn run(manager: Arc<SessionManager>) {
     let workers: Vec<usize> = (0..rayon::current_num_threads()).collect();
-    // Started as vendored-rayon workers, so an engine fan-out inside a
-    // job runs on its worker instead of spawning threads of its own.
+    // Started as vendored-rayon workers, so the `par_iter` and `join`
+    // inside a job run on its worker instead of spawning threads.
     workers.par_iter().for_each(|_| work(&manager));
 }
 

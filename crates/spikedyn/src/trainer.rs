@@ -15,7 +15,7 @@ use snn_core::ops::OpCounts;
 use snn_core::rng::{derive_seed, seeded_rng};
 use snn_core::sim::{run_sample, Plasticity, SampleResult};
 use snn_data::Image;
-use snn_runtime::Engine;
+use snn_runtime::{BatchOutcome, Engine};
 
 use crate::learning::{SpikeDynConfig, SpikeDynPlasticity};
 use crate::method::Method;
@@ -462,9 +462,52 @@ impl Trainer {
         engine: &mut Engine,
         images: &[Image],
     ) -> SnnResult<Vec<SampleResult>> {
+        self.infer_batch_with(engine, images, |_, engine, batch_seed| {
+            engine.infer_batch_metered(images, batch_seed)
+        })
+    }
+
+    /// One prequential test-then-train step: [`Trainer::infer_results_with`]
+    /// followed by [`Trainer::train_on`] over the same `images`, with the
+    /// two running at once (through `rayon::join`, so inline when called
+    /// from a `rayon` worker or with one thread).
+    ///
+    /// Results, weights, meters and every random stream are bit-identical
+    /// to the sequential pair: inference reads only the engine's template,
+    /// hot-swapped to the pre-update weights before training starts, while
+    /// training writes only this trainer's network; each side draws from
+    /// its own seed into its own op meter.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`snn_core::SnnError::DimensionMismatch`] when the engine's
+    /// network shape differs from the trainer's. Nothing is trained and the
+    /// batch-seed cursor is not advanced in that case.
+    pub fn infer_and_train_with(
+        &mut self,
+        engine: &mut Engine,
+        images: &[Image],
+    ) -> SnnResult<Vec<SampleResult>> {
+        self.infer_batch_with(engine, images, |trainer, engine, batch_seed| {
+            rayon::join(
+                || trainer.train_on(images),
+                || engine.infer_batch_metered(images, batch_seed),
+            )
+            .1
+        })
+    }
+
+    /// Hot-swaps `engine` onto the current model, draws the next batch
+    /// seed, hands both to `run` and meters the batch outcome it returns.
+    fn infer_batch_with(
+        &mut self,
+        engine: &mut Engine,
+        images: &[Image],
+        run: impl FnOnce(&mut Self, &Engine, u64) -> BatchOutcome,
+    ) -> SnnResult<Vec<SampleResult>> {
         engine.hot_swap(self.net.weights.as_slice(), self.net.exc.thetas())?;
         let batch_seed = self.next_batch_seed();
-        let outcome = engine.infer_batch_metered(images, batch_seed);
+        let outcome = run(self, engine, batch_seed);
         self.infer_ops.accumulate(&outcome.ops);
         self.infer_samples_seen += images.len() as u64;
         Ok(outcome.results)
@@ -802,6 +845,59 @@ mod tests {
             );
         }
         assert_eq!(a.infer_samples_seen(), b.infer_samples_seen());
+    }
+
+    #[test]
+    fn infer_and_train_with_matches_infer_then_train() {
+        let batches = [
+            small_images(2, &[0, 1, 2, 3]),
+            small_images(2, &[4, 5, 6, 7]),
+        ];
+        let boost = AdaptiveResponse {
+            lr_boost: 2.0,
+            w_decay_scale: 2.0,
+        };
+        for method in [Method::SpikeDyn, Method::Baseline] {
+            let mut joined = Trainer::new(method, 196, 10, PresentConfig::fast(), 21);
+            let mut serial = Trainer::new(method, 196, 10, PresentConfig::fast(), 21);
+            let mut joined_engine = joined.engine();
+            let mut serial_engine = serial.engine();
+            for (i, batch) in batches.iter().enumerate() {
+                if i == 1 {
+                    assert_eq!(
+                        joined.apply_adaptive_response(&boost),
+                        serial.apply_adaptive_response(&boost)
+                    );
+                }
+                let got = joined
+                    .infer_and_train_with(&mut joined_engine, batch)
+                    .unwrap();
+                let want = serial
+                    .infer_results_with(&mut serial_engine, batch)
+                    .unwrap();
+                serial.train_on(batch);
+                assert_eq!(got, want, "{method:?} batch {i}: results");
+                assert_eq!(joined.train_ops, serial.train_ops, "{method:?} batch {i}");
+                assert_eq!(joined.infer_ops, serial.infer_ops, "{method:?} batch {i}");
+                assert_eq!(
+                    joined.snapshot_state(),
+                    serial.snapshot_state(),
+                    "{method:?} batch {i}: weights, θ, RNG and seed cursor"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn infer_and_train_with_rejects_another_shape_untouched() {
+        let imgs = small_images(2, &[0, 1]);
+        let mut t = Trainer::new(Method::SpikeDyn, 196, 10, PresentConfig::fast(), 5);
+        let mut other = Trainer::new(Method::SpikeDyn, 196, 12, PresentConfig::fast(), 5).engine();
+        let before = t.snapshot_state();
+        let err = t.infer_and_train_with(&mut other, &imgs).unwrap_err();
+        assert!(matches!(err, snn_core::SnnError::DimensionMismatch { .. }));
+        assert_eq!(t.snapshot_state(), before);
+        assert_eq!(t.train_samples_seen(), 0);
     }
 
     #[test]
