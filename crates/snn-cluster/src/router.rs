@@ -233,10 +233,6 @@ struct Inner {
 #[derive(Debug)]
 struct State {
     limits: ClusterLimits,
-    /// The router's bound address; wire-driven shard spawns name their
-    /// evict directories after its port, exactly as the Rust-side
-    /// [`Cluster::spawn_shard`] does.
-    addr: SocketAddr,
     obs: ClusterObs,
     inner: Mutex<Inner>,
 }
@@ -267,7 +263,6 @@ impl Cluster {
         let addr = listener.local_addr()?;
         let state = Arc::new(State {
             limits: config.limits,
-            addr,
             obs: ClusterObs::new(),
             inner: Mutex::new(Inner {
                 ring: HashRing::new(config.limits.replicas),
@@ -319,8 +314,25 @@ impl Cluster {
     /// # Errors
     ///
     /// Fails if the shard cannot start or a rebalancing migration fails.
-    pub fn spawn_shard(&self, config: ServerConfig) -> Result<ShardId, ClusterError> {
-        spawn_shard_on(&self.state, config)
+    pub fn spawn_shard(&self, mut config: ServerConfig) -> Result<ShardId, ClusterError> {
+        let id = next_shard_id(&self.state)?;
+        if config.evict_dir.is_none() {
+            let dir = std::env::temp_dir().join(format!(
+                "snn-cluster-{}-{}-shard{id}",
+                std::process::id(),
+                self.addr.port()
+            ));
+            std::fs::create_dir_all(&dir).map_err(ClusterError::Io)?;
+            config.evict_dir = Some(dir);
+        }
+        let backend = Arc::new(Backend::spawn(
+            id,
+            config,
+            self.state.limits.io_timeout,
+            self.state.obs.relay_wire.clone(),
+        )?);
+        join_backend(&self.state, backend)?;
+        Ok(id)
     }
 
     /// Attaches an already-running `snn-serve` shard and joins it to the
@@ -355,7 +367,27 @@ impl Cluster {
     /// Fails if the shard id is unknown or a migration fails (the shard
     /// then stays attached, minus the ring points).
     pub fn drain_shard(&self, shard: ShardId) -> Result<usize, ClusterError> {
-        drain_shard_on(&self.state, shard)
+        let backend = {
+            let mut inner = self.state.inner.lock().expect("cluster state poisoned");
+            let backend = inner
+                .backends
+                .get(&shard)
+                .cloned()
+                .ok_or(ClusterError::UnknownShard(shard))?;
+            inner.ring.remove(shard);
+            backend
+        };
+        let moved = if backend.is_alive() {
+            rebalance_on(&self.state)?
+        } else {
+            drop_sessions_of(&self.state, shard);
+            0
+        };
+        backend.stop();
+        let mut inner = self.state.inner.lock().expect("cluster state poisoned");
+        inner.backends.remove(&shard);
+        inner.journal_cache.remove(&shard);
+        Ok(moved)
     }
 
     /// Live-migrates one session to a specific shard (ops/test hook; the
@@ -528,11 +560,6 @@ fn drop_sessions_of(state: &State, shard: ShardId) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Control-plane operations over `&State`, shared by the Rust-side
-// `Cluster` methods and the wire verbs (`cluster-grow`, `cluster-drain`),
-// which only ever hold the state a connection thread borrows.
-
 fn next_shard_id(state: &State) -> Result<ShardId, ClusterError> {
     let mut inner = state.inner.lock().expect("cluster state poisoned");
     if inner.shutdown {
@@ -551,28 +578,6 @@ fn join_backend(state: &State, backend: Arc<Backend>) -> Result<(), ClusterError
     }
     rebalance_on(state)?;
     Ok(())
-}
-
-/// See [`Cluster::spawn_shard`], whose contract this implements.
-fn spawn_shard_on(state: &State, mut config: ServerConfig) -> Result<ShardId, ClusterError> {
-    let id = next_shard_id(state)?;
-    if config.evict_dir.is_none() {
-        let dir = std::env::temp_dir().join(format!(
-            "snn-cluster-{}-{}-shard{id}",
-            std::process::id(),
-            state.addr.port()
-        ));
-        std::fs::create_dir_all(&dir).map_err(ClusterError::Io)?;
-        config.evict_dir = Some(dir);
-    }
-    let backend = Arc::new(Backend::spawn(
-        id,
-        config,
-        state.limits.io_timeout,
-        state.obs.relay_wire.clone(),
-    )?);
-    join_backend(state, backend)?;
-    Ok(id)
 }
 
 /// See [`Cluster::rebalance`], whose contract this implements.
@@ -611,31 +616,6 @@ fn rebalance_on(state: &State) -> Result<usize, ClusterError> {
         route.moved_to(&to_backend);
         moved += 1;
     }
-    Ok(moved)
-}
-
-/// See [`Cluster::drain_shard`], whose contract this implements.
-fn drain_shard_on(state: &State, shard: ShardId) -> Result<usize, ClusterError> {
-    let backend = {
-        let mut inner = state.inner.lock().expect("cluster state poisoned");
-        let backend = inner
-            .backends
-            .get(&shard)
-            .cloned()
-            .ok_or(ClusterError::UnknownShard(shard))?;
-        inner.ring.remove(shard);
-        backend
-    };
-    let moved = if backend.is_alive() {
-        rebalance_on(state)?
-    } else {
-        drop_sessions_of(state, shard);
-        0
-    };
-    backend.stop();
-    let mut inner = state.inner.lock().expect("cluster state poisoned");
-    inner.backends.remove(&shard);
-    inner.journal_cache.remove(&shard);
     Ok(moved)
 }
 
@@ -1262,8 +1242,6 @@ fn route_line(line: &str, state: &State) -> String {
         "cluster-journal" => cluster_journal_line(state),
         "trace" => trace_line(state, &fields),
         "cluster-trace" => cluster_trace_line(state, &fields),
-        "cluster-grow" => cluster_grow_line(state),
-        "cluster-drain" => cluster_drain_line(state, &fields),
         "open" | "restore" | "close" | "evict" | "ingest" | "report" | "energy" | "checkpoint"
         | "swap" => relay(line, &verb, &fields, state),
         other => err_line("bad-request", &format!("unknown verb {other:?}")),
@@ -1598,78 +1576,6 @@ fn cluster_trace_line(state: &State, fields: &[(String, String)]) -> String {
     ]))
 }
 
-/// `cluster-grow`: spawns a default-configured shard and joins it to the
-/// ring — the wire half of [`Cluster::spawn_shard`], which is what lets
-/// an autoscaler run against the router without holding `&Cluster`.
-fn cluster_grow_line(state: &State) -> String {
-    match spawn_shard_on(state, ServerConfig::default()) {
-        Ok(id) => {
-            let rid = state.obs.registry.mint_rid();
-            state
-                .obs
-                .registry
-                .journal_event("cluster.grow", &rid, &[("shard", id.to_string())]);
-            format_response(&Response::ok([("shard", id.to_string())]))
-        }
-        Err(e) => cluster_err_line(&e),
-    }
-}
-
-/// `cluster-drain`: drains one shard (an explicit `shard=` or the live
-/// shard routing the fewest sessions) — the wire half of
-/// [`Cluster::drain_shard`].
-fn cluster_drain_line(state: &State, fields: &[(String, String)]) -> String {
-    let shard = match find(fields, "shard") {
-        Some(raw) => match raw.parse::<ShardId>() {
-            Ok(s) => s,
-            Err(_) => return err_line("bad-request", "shard must be a numeric shard id"),
-        },
-        None => match least_loaded_shard(state) {
-            Some(s) => s,
-            None => return cluster_err_line(&ClusterError::NoShards),
-        },
-    };
-    match drain_shard_on(state, shard) {
-        Ok(moved) => {
-            let rid = state.obs.registry.mint_rid();
-            state.obs.registry.journal_event(
-                "cluster.drain",
-                &rid,
-                &[("shard", shard.to_string()), ("moved", moved.to_string())],
-            );
-            format_response(&Response::ok([
-                ("drained", shard.to_string()),
-                ("moved", moved.to_string()),
-            ]))
-        }
-        Err(e) => cluster_err_line(&e),
-    }
-}
-
-/// The live shard currently routing the fewest sessions — the wire
-/// drain's default victim, mirroring `snn-heal`'s in-process pool.
-fn least_loaded_shard(state: &State) -> Option<ShardId> {
-    let (mut counts, slots): (BTreeMap<ShardId, usize>, Vec<Arc<Slot>>) = {
-        let inner = state.inner.lock().expect("cluster state poisoned");
-        (
-            inner
-                .backends
-                .values()
-                .filter(|b| b.is_alive())
-                .map(|b| (b.id, 0usize))
-                .collect(),
-            inner.sessions.values().cloned().collect(),
-        )
-    };
-    for slot in slots {
-        let shard = slot.route.lock().expect("session route poisoned").shard;
-        if let Some(n) = counts.get_mut(&shard) {
-            *n += 1;
-        }
-    }
-    counts.into_iter().min_by_key(|&(_, n)| n).map(|(id, _)| id)
-}
-
 /// How many frames a router subscription buffers before a slow consumer
 /// starts losing them (mirrors the shard server's policy: drop, count,
 /// never block the sampler or the data plane).
@@ -1686,6 +1592,9 @@ fn serve_cluster_subscription(
     interval_ms: u64,
 ) -> io::Result<()> {
     let interval = Duration::from_millis(interval_ms.clamp(10, 10_000));
+    // The journal cursor is taken before the ack: an event the client
+    // causes after reading the ack must reach a frame.
+    let mut prev_total = state.obs.registry.journal_snapshot().total;
     let banner = format_response(&Response::ok([(
         "interval_ms",
         interval.as_millis().to_string(),
@@ -1693,10 +1602,9 @@ fn serve_cluster_subscription(
     write_reply(writer, state, &banner)?;
     let (tx, rx) = mpsc::sync_channel::<String>(SUBSCRIBE_BUFFER);
     std::thread::scope(|scope| {
-        scope.spawn(|| {
+        scope.spawn(move || {
             let (_sub, sub_drops) = state.obs.subscriber();
             let mut seq = 0u64;
-            let mut prev_total = state.obs.registry.journal_snapshot().total;
             loop {
                 if state.inner.lock().expect("cluster state poisoned").shutdown {
                     return; // dropping tx ends the writer loop cleanly

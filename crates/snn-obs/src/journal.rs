@@ -1,11 +1,11 @@
 //! The flight-recorder journal (version 1) and its text codec.
 //!
 //! A journal is a fixed-size ring of structured **events** — admissions,
-//! rejects, drift, evictions, probe failures, failovers, autoscaler
-//! decisions — recorded always-on by every tier next to its metrics
-//! registry. Where metrics answer "how much / how fast", the journal
-//! answers "what happened, in what order, to whom": each event carries a
-//! dotted kind (`cluster.shard_down`), the request id that caused it,
+//! rejects, drift, evictions, probe failures, failovers — recorded
+//! always-on by every tier next to its metrics registry. Where metrics
+//! answer "how much / how fast", the journal answers "what happened, in
+//! what order, to whom": each event carries a dotted kind
+//! (`cluster.shard_down`), the request id that caused it,
 //! its birth-relative timestamp, and free-form `k=v` context.
 //!
 //! The ring is bounded ([`JOURNAL_RING`]) and lock-cheap (one short

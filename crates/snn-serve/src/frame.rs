@@ -69,7 +69,8 @@ pub const VERB_RAW: u8 = 0;
 /// Registered verb codes, used for dispatch-free observability (per-verb
 /// frame accounting without parsing the head). The head text remains
 /// authoritative: a frame whose nonzero code disagrees with its head is
-/// rejected as `bad-frame`.
+/// rejected as `bad-frame`. Codes 20 and 21 are retired (they named the
+/// removed `cluster-grow` and `cluster-drain` verbs) and are never reused.
 pub const VERB_CODES: &[(u8, &str)] = &[
     (1, "hello"),
     (2, "ping"),
@@ -90,8 +91,6 @@ pub const VERB_CODES: &[(u8, &str)] = &[
     (17, "cluster-stats"),
     (18, "cluster-metrics"),
     (19, "cluster-journal"),
-    (20, "cluster-grow"),
-    (21, "cluster-drain"),
     (32, "ok"),
     (33, "err"),
     (34, "push"),
@@ -574,5 +573,8 @@ mod tests {
         codes.sort_unstable();
         codes.dedup();
         assert_eq!(codes.len(), VERB_CODES.len());
+        // Retired codes stay unassigned.
+        assert_eq!(verb_name(20), None);
+        assert_eq!(verb_name(21), None);
     }
 }

@@ -198,7 +198,11 @@ mod tests {
 
         // A dedicated connection streams frames with rising seq numbers
         // and parseable payloads.
-        let sub_client = ServeClient::connect(server.local_addr()).unwrap();
+        let sub_client = ServeClient::connect_with_timeout(
+            server.local_addr(),
+            std::time::Duration::from_secs(5),
+        )
+        .unwrap();
         let mut sub = sub_client.subscribe(20).unwrap();
         let first = sub.next().unwrap();
         let second = sub.next().unwrap();
@@ -207,8 +211,18 @@ mod tests {
         assert!(second.journal.total >= first.journal.total);
 
         client.close("j1").unwrap();
-        drop(sub);
         server.shutdown();
+        // Shutdown ends the stream: past any frames still buffered, the
+        // subscriber reads a clean end of stream, not a read timeout.
+        let end = loop {
+            if let Err(e) = sub.next() {
+                break e;
+            }
+        };
+        assert!(
+            matches!(&end, ClientError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+            "{end:?}"
+        );
     }
 
     #[test]

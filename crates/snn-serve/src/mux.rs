@@ -294,6 +294,9 @@ fn spawn_push_sampler<H: MuxHost>(frame: &Frame, host: Arc<H>, out_tx: Outbound)
         .unwrap_or(200);
     let interval = Duration::from_millis(interval_ms.clamp(10, 10_000));
     let tag = frame.tag;
+    // The journal cursor is taken before the ack: an event the client
+    // causes after reading the ack must reach a frame.
+    let mut cursor = host.journal_total();
     let ack = Response::ok([("interval_ms", interval.as_millis().to_string())]);
     if out_tx
         .send(line_to_frame(&format_response(&ack), tag, 0))
@@ -303,7 +306,6 @@ fn spawn_push_sampler<H: MuxHost>(frame: &Frame, host: Arc<H>, out_tx: Outbound)
     }
     std::thread::spawn(move || {
         let sub = host.next_subscriber();
-        let mut cursor = host.journal_total();
         let mut seq = 0u64;
         loop {
             if host.is_shutdown() {

@@ -511,19 +511,21 @@ fn serve_subscription(
     interval_ms: u64,
 ) -> io::Result<()> {
     let interval = Duration::from_millis(interval_ms.clamp(10, 10_000));
+    // The journal cursor is taken before the ack: an event the client
+    // causes after reading the ack must reach a frame.
+    let mut cursor = manager.obs().registry.journal_snapshot().total;
     write_response(
         writer,
         &Response::ok([("interval_ms", interval.as_millis().to_string())]),
     )?;
     let (tx, rx) = mpsc::sync_channel::<String>(SUBSCRIBE_BUFFER);
     std::thread::scope(|scope| {
-        scope.spawn(|| {
+        scope.spawn(move || {
             let obs = manager.obs();
             // Drops are billed both globally and to this subscriber's
             // own counter, so one slow consumer is identifiable.
             let (_sub, sub_drops) = obs.subscriber();
             let mut seq = 0u64;
-            let mut cursor = obs.registry.journal_snapshot().total;
             loop {
                 if manager.is_shutdown() {
                     return; // dropping tx ends the writer loop cleanly

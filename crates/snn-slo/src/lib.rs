@@ -15,8 +15,7 @@
 //! clocks, no I/O, no threads. The caller owns the transport (typically
 //! `snn_serve::ServeClient::subscribe`'s `push` frames, whose
 //! `metrics` field is exactly the [`snn_obs::Snapshot`] this engine
-//! eats) and the reaction (typically feeding [`LoadView`] — extracted
-//! from the same snapshots by [`load_view`] — to an autoscaler).
+//! eats) and the reaction to each [`Alert`].
 //!
 //! ```
 //! use snn_obs::Registry;
@@ -292,35 +291,6 @@ fn histogram_delta(prev: &HistogramSnapshot, snap: &HistogramSnapshot) -> Histog
     delta
 }
 
-/// The load signals an autoscaler consumes, extracted from one merged
-/// cluster exposition (the `cluster-metrics` or router-`subscribe`
-/// snapshot): the wire-side equivalent of scraping
-/// `snn_cluster::Cluster::stats` in-process.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadView {
-    /// Live shards (`cluster.alive_shards`).
-    pub alive_shards: usize,
-    /// Sessions currently routed (`cluster.sessions`).
-    pub sessions: usize,
-    /// Jobs queued across all scraped shards (`serve.queued_jobs`).
-    pub queued_jobs: usize,
-    /// Cumulative modelled joules across all scraped shards
-    /// (`serve.total_j`).
-    pub total_j: f64,
-}
-
-/// Extracts a [`LoadView`] from a merged cluster exposition. Gauges
-/// merge by summation across instances, so the serve-tier gauges read
-/// as cluster totals here.
-pub fn load_view(snap: &Snapshot) -> LoadView {
-    LoadView {
-        alive_shards: snap.gauge("cluster.alive_shards").max(0.0) as usize,
-        sessions: snap.gauge("cluster.sessions").max(0.0) as usize,
-        queued_jobs: snap.gauge("serve.queued_jobs").max(0.0) as usize,
-        total_j: snap.gauge("serve.total_j"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,27 +528,5 @@ mod tests {
         assert!(engine.observe(&r.snapshot(), 1).is_empty());
         r.gauge("cluster.shadow_lag").set(64.0);
         assert_eq!(engine.observe(&r.snapshot(), 2).len(), 1);
-    }
-
-    #[test]
-    fn load_view_reads_the_merged_cluster_gauges() {
-        let r = Registry::new("t7");
-        r.gauge("cluster.alive_shards").set(3.0);
-        r.gauge("cluster.sessions").set(12.0);
-        r.gauge("serve.queued_jobs").set(5.0);
-        r.gauge("serve.total_j").set(7.5);
-        let view = load_view(&r.snapshot());
-        assert_eq!(
-            view,
-            LoadView {
-                alive_shards: 3,
-                sessions: 12,
-                queued_jobs: 5,
-                total_j: 7.5,
-            }
-        );
-        // Absent gauges (a router-less exposition) read as zero.
-        let empty = load_view(&Registry::new("t8").snapshot());
-        assert_eq!(empty.alive_shards, 0);
     }
 }

@@ -14,9 +14,6 @@
 //! * [`cluster`](snn_cluster) — the consistent-hash session router sharding
 //!   `snn-serve` with checkpoint-based live migration, replica shadowing,
 //!   and restore-from-shadow failover,
-//! * [`heal`](snn_heal) — the self-healing control plane: a hysteresis
-//!   autoscaler growing and draining the shard pool from load snapshots,
-//!   in-process or wire-driven,
 //! * [`obs`](snn_obs) — the telemetry spine: metrics, trace spans, and the
 //!   always-on flight-recorder journal,
 //! * [`slo`](snn_slo) — declarative SLOs with burn-rate alerting over
@@ -31,7 +28,6 @@ pub use snn_baselines;
 pub use snn_cluster;
 pub use snn_core;
 pub use snn_data;
-pub use snn_heal;
 pub use snn_obs;
 pub use snn_online;
 pub use snn_runtime;

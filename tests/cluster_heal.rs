@@ -1,5 +1,5 @@
-//! Workspace-level guarantees of the self-healing layer (`snn-heal` +
-//! the router's shadowing/failover machinery):
+//! Workspace-level guarantees of the self-healing layer (the router's
+//! shadowing/failover machinery):
 //!
 //! * **Kill a shard mid-stream and every session finishes.** With
 //!   shadowing enabled, sessions homed on a shard that dies abruptly
@@ -15,8 +15,8 @@
 //!   scrape carries the router's `cluster.failover` span and the target
 //!   shard's `serve.restore` span stitched by the same request id.
 //!
-//! The autoscaler's grow/drain drill lives in
-//! `crates/snn-heal/tests/autoscaler.rs`; replay-gap disclosure and
+//! There is no autoscaler; shard joins and drains under live sessions
+//! are pinned in `tests/cluster_shards.rs`. Replay-gap disclosure and
 //! fail-fast staleness are pinned by `snn-cluster`'s in-crate tests.
 
 mod common;

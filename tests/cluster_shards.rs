@@ -8,6 +8,9 @@
 //!   never *what* it computes.
 //! * **Drain bit-identity**: draining a shard (the shutdown path) moves
 //!   its sessions without perturbing a single bit of their streams.
+//! * **Join bit-identity**: spawning a shard into a cluster with live
+//!   sessions rebalances the ones its ring points claim, again without
+//!   perturbing a single bit of their streams.
 //!
 //! Ring-hash unit tests (uniformity, minimal reshuffle on join/leave)
 //! live in `snn-cluster/src/ring.rs`.
@@ -216,6 +219,51 @@ fn draining_a_shard_mid_stream_perturbs_nothing() {
             served,
             local.checkpoint().to_bytes(),
             "session dr-{s} must be bit-identical after the drain"
+        );
+        client.close(&id).unwrap();
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn joining_a_shard_mid_stream_perturbs_nothing() {
+    let cluster = Cluster::start("127.0.0.1:0", ClusterConfig::default()).unwrap();
+    cluster.spawn_shard(ServerConfig::default()).unwrap();
+    let mut client = ServeClient::connect(cluster.local_addr()).unwrap();
+    let n_sessions = 6u64;
+    let streams: Vec<Vec<Image>> = (0..n_sessions)
+        .map(|s| scenario_stream(Scenario::NoiseBurst, 90 + s, 24))
+        .collect();
+
+    for (s, stream) in streams.iter().enumerate() {
+        let id = format!("jn-{s}");
+        client.open(&id, tiny_spec(90 + s as u64)).unwrap();
+        for chunk in stream[..12].chunks(4) {
+            client.ingest(&id, chunk).unwrap();
+        }
+    }
+    // The join rebalances every session the new ring places on the
+    // joined shard, then every stream finishes wherever it now lives.
+    let joined = cluster.spawn_shard(ServerConfig::default()).unwrap();
+    assert!(
+        (0..n_sessions).any(|s| cluster.session_shard(&format!("jn-{s}")) == Some(joined)),
+        "the join moved at least one session onto the new shard"
+    );
+
+    for (s, stream) in streams.iter().enumerate() {
+        let id = format!("jn-{s}");
+        for chunk in stream[12..].chunks(4) {
+            client.ingest(&id, chunk).unwrap();
+        }
+        let served = client.checkpoint(&id).unwrap();
+        let mut local = snn_online::OnlineLearner::new(tiny_spec(90 + s as u64).online_config());
+        for chunk in stream.chunks(4) {
+            local.ingest_batch(chunk).unwrap();
+        }
+        assert_eq!(
+            served,
+            local.checkpoint().to_bytes(),
+            "session jn-{s} must be bit-identical after the join"
         );
         client.close(&id).unwrap();
     }

@@ -224,7 +224,7 @@ proptest! {
 
     #[test]
     fn frame_lift_and_reinsert_is_total_for_any_verb_tag_payload(
-        verb_i in 0usize..21,
+        verb_i in 0usize..=VERB_CODES.len(),
         tag in any::<u32>(),
         data in prop::collection::vec(any::<u8>(), 0..256),
         trailing_rid in any::<bool>(),
