@@ -199,19 +199,25 @@ impl ClusterObs {
         }
     }
 
+    /// The client-facing byte counters of protocol generation `proto`.
+    pub(crate) fn wire(&self, proto: u32) -> &WireObs {
+        if proto >= PROTO_V2 {
+            &self.wire_p2
+        } else {
+            &self.wire_p1
+        }
+    }
+
     /// Registers one subscription stream: its sequence number and its
     /// dedicated drop counter (`cluster.subscribe.drops.sub<N>`). The
     /// aggregate `cluster.subscribe.drops` keeps counting every drop;
     /// the per-subscriber counter pins which stream lost frames.
     pub(crate) fn subscriber(&self) -> (u64, Arc<Counter>) {
         let seq = self.sub_seq.fetch_add(1, Ordering::Relaxed);
-        (seq, self.sub_drop_counter(seq))
-    }
-
-    /// The drop counter of subscription stream `seq`.
-    pub(crate) fn sub_drop_counter(&self, seq: u64) -> Arc<Counter> {
-        self.registry
-            .counter(&format!("cluster.subscribe.drops.sub{seq}"))
+        let drops = self
+            .registry
+            .counter(&format!("cluster.subscribe.drops.sub{seq}"));
+        (seq, drops)
     }
 }
 

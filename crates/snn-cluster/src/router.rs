@@ -1,6 +1,17 @@
-//! The front-tier router: a thread-per-connection TCP server speaking
-//! the `snn-serve` line protocol to clients and forwarding raw request
-//! lines to the backend shard that owns each session.
+//! The front-tier router: the `snn-serve` connection front end
+//! ([`snn_serve::front`]) speaking the `snn-serve` protocol to clients,
+//! with a host that forwards raw request lines to the backend shard
+//! that owns each session.
+//!
+//! ## Connections
+//!
+//! The accept loop, the proto 1 line loop, the proto 2 upgrade and the
+//! subscription stream are the shard's own, run against the router's
+//! [`snn_serve::MuxHost`] — so both tiers cap lines, upgrade, stream
+//! and count drops by one rule. What the router adds is the host: how a
+//! line is routed and whether that mints a rid (a `hello` or
+//! `subscribe` never does), the merged cluster-wide exposition its
+//! pushes carry, and its `cluster.*` counters and spans.
 //!
 //! ## Routing rules
 //!
@@ -32,19 +43,19 @@
 //! what lets a migration atomically re-point a session mid-stream.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use snn_obs::{valid_rid, JournalSnapshot, Snapshot, TraceTree};
+use snn_obs::{valid_rid, Counter, JournalSnapshot, Snapshot, TraceTree};
 use snn_serve::protocol::{
-    self, extract_rid, format_response, hex_decode, hex_encode, parse_response, Response,
-    MAX_LINE_BYTES, PROTO_VERSION,
+    self, extract_rid, format_response, hex_decode, hex_encode, parse_request, parse_response,
+    Request, Response, PROTO_VERSION,
 };
-use snn_serve::{run_mux, MuxHost, ServerConfig, PROTO_V2};
+use snn_serve::server::trace_reply;
+use snn_serve::{accept_loop, subscribe_ack, MuxHost, ServerConfig, PROTO_V2};
 
 use crate::backend::Backend;
 use crate::heal::{failover_locked, shadow_locked};
@@ -237,13 +248,35 @@ struct State {
     inner: Mutex<Inner>,
 }
 
+impl State {
+    /// Every routed session with its slot, as the table holds them now.
+    fn routes(&self) -> Vec<(String, Arc<Slot>)> {
+        let inner = self.inner.lock().expect("cluster state poisoned");
+        inner
+            .sessions
+            .iter()
+            .map(|(id, slot)| (id.clone(), Arc::clone(slot)))
+            .collect()
+    }
+
+    /// Whether the router is draining: its threads then stop.
+    fn is_shutdown(&self) -> bool {
+        self.inner.lock().expect("cluster state poisoned").shutdown
+    }
+
+    /// Every attached backend, alive or not, ascending by id.
+    fn backends(&self) -> Vec<Arc<Backend>> {
+        let inner = self.inner.lock().expect("cluster state poisoned");
+        inner.backends.values().cloned().collect()
+    }
+}
+
 /// A running cluster router. Shuts down (and joins its accept + health
 /// threads, stopping owned shards) on [`Cluster::shutdown`] or drop.
 #[derive(Debug)]
 pub struct Cluster {
     addr: SocketAddr,
     state: Arc<State>,
-    stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
     health_thread: Option<JoinHandle<()>>,
     shadow_thread: Option<JoinHandle<()>>,
@@ -275,26 +308,23 @@ impl Cluster {
                 shutdown: false,
             }),
         });
-        let stop = Arc::new(AtomicBool::new(false));
         let accept_thread = {
-            let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || accept_loop(listener, state, stop))
+            let host = Arc::new(ClusterHost {
+                state: Arc::clone(&state),
+            });
+            std::thread::spawn(move || accept_loop(listener, host))
         };
         let health_thread = {
             let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || health_loop(state, stop))
+            std::thread::spawn(move || health_loop(state))
         };
         let shadow_thread = state.limits.shadow_interval.map(|interval| {
             let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || shadow_loop(state, stop, interval))
+            std::thread::spawn(move || shadow_loop(state, interval))
         });
         Ok(Cluster {
             addr,
             state,
-            stop,
             accept_thread: Some(accept_thread),
             health_thread: Some(health_thread),
             shadow_thread,
@@ -487,7 +517,6 @@ impl Cluster {
     }
 
     fn stop_threads(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
         {
             let mut inner = self.state.inner.lock().expect("cluster state poisoned");
             inner.shutdown = true;
@@ -501,11 +530,7 @@ impl Cluster {
         if let Some(t) = self.shadow_thread.take() {
             let _ = t.join();
         }
-        let backends: Vec<Arc<Backend>> = {
-            let inner = self.state.inner.lock().expect("cluster state poisoned");
-            inner.backends.values().cloned().collect()
-        };
-        for backend in backends {
+        for backend in self.state.backends() {
             backend.stop();
         }
     }
@@ -543,15 +568,7 @@ fn remove_route_if_current(
 /// lock order (collect under the table lock, inspect under each slot
 /// lock, then re-check identity before removing).
 fn drop_sessions_of(state: &State, shard: ShardId) {
-    let snapshot: Vec<(String, Arc<Slot>)> = {
-        let inner = state.inner.lock().expect("cluster state poisoned");
-        inner
-            .sessions
-            .iter()
-            .map(|(id, slot)| (id.clone(), Arc::clone(slot)))
-            .collect()
-    };
-    for (id, slot) in snapshot {
+    for (id, slot) in state.routes() {
         let route = slot.route.lock().expect("session route poisoned");
         if route.shard != shard {
             continue;
@@ -583,16 +600,8 @@ fn join_backend(state: &State, backend: Arc<Backend>) -> Result<(), ClusterError
 /// See [`Cluster::rebalance`], whose contract this implements.
 fn rebalance_on(state: &State) -> Result<usize, ClusterError> {
     state.obs.rebalances.inc();
-    let snapshot: Vec<(String, Arc<Slot>)> = {
-        let inner = state.inner.lock().expect("cluster state poisoned");
-        inner
-            .sessions
-            .iter()
-            .map(|(id, slot)| (id.clone(), Arc::clone(slot)))
-            .collect()
-    };
     let mut moved = 0usize;
-    for (id, slot) in snapshot {
+    for (id, slot) in state.routes() {
         let mut route = slot.route.lock().expect("session route poisoned");
         let (from_backend, to_backend) = {
             let inner = state.inner.lock().expect("cluster state poisoned");
@@ -620,30 +629,9 @@ fn rebalance_on(state: &State) -> Result<usize, ClusterError> {
 }
 
 // ---------------------------------------------------------------------------
-// Accept + health threads.
+// Health and shadow threads.
 
-fn accept_loop(listener: TcpListener, state: Arc<State>, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
-                let state = Arc::clone(&state);
-                std::thread::spawn(move || {
-                    let _ = handle_connection(stream, &state);
-                });
-            }
-            // Same reasoning as snn-serve's accept loop: every accept
-            // error is transient here; only the stop flag ends routing.
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-    }
-}
-
-fn health_loop(state: Arc<State>, stop: Arc<AtomicBool>) {
+fn health_loop(state: Arc<State>) {
     let mut last_sweep = std::time::Instant::now();
     let mut failures: HashMap<ShardId, u32> = HashMap::new();
     // The "death rid" per striking shard: minted at the first failed
@@ -651,7 +639,7 @@ fn health_loop(state: Arc<State>, stop: Arc<AtomicBool>) {
     // (as `cause=`) each resulting failover — one id stitches the whole
     // incident through the merged journal.
     let mut death_rids: HashMap<ShardId, String> = HashMap::new();
-    while !stop.load(Ordering::SeqCst) {
+    while !state.is_shutdown() {
         // Nap in small slices so shutdown never waits a full interval.
         std::thread::sleep(Duration::from_millis(20));
         let interval = state.limits.health_interval;
@@ -659,11 +647,7 @@ fn health_loop(state: Arc<State>, stop: Arc<AtomicBool>) {
             continue;
         }
         last_sweep = std::time::Instant::now();
-        let backends: Vec<Arc<Backend>> = {
-            let inner = state.inner.lock().expect("cluster state poisoned");
-            inner.backends.values().cloned().collect()
-        };
-        for backend in backends {
+        for backend in state.backends() {
             if !backend.is_alive() {
                 failures.remove(&backend.id);
                 death_rids.remove(&backend.id);
@@ -749,24 +733,12 @@ fn health_loop(state: Arc<State>, stop: Arc<AtomicBool>) {
 /// so the steady-state cost is one `stats` round trip per shard per
 /// health interval.
 fn reconcile(state: &State) {
-    let snapshot: Vec<(String, Arc<Slot>)> = {
-        let inner = state.inner.lock().expect("cluster state poisoned");
-        inner
-            .sessions
-            .iter()
-            .map(|(id, slot)| (id.clone(), Arc::clone(slot)))
-            .collect()
-    };
     let mut routed: HashMap<ShardId, Vec<(String, Arc<Slot>)>> = HashMap::new();
-    for (id, slot) in snapshot {
+    for (id, slot) in state.routes() {
         let shard = slot.route.lock().expect("session route poisoned").shard;
         routed.entry(shard).or_default().push((id, slot));
     }
-    let backends: Vec<Arc<Backend>> = {
-        let inner = state.inner.lock().expect("cluster state poisoned");
-        inner.backends.values().cloned().collect()
-    };
-    for backend in backends {
+    for backend in state.backends() {
         if !backend.is_alive() {
             continue;
         }
@@ -814,9 +786,9 @@ fn reconcile(state: &State) {
 /// The shadower thread: every `interval`, replicate each session's
 /// checkpoint to its ring-successor shard (see `crate::heal`). Runs only
 /// when [`ClusterLimits::shadow_interval`] is set.
-fn shadow_loop(state: Arc<State>, stop: Arc<AtomicBool>, interval: Duration) {
+fn shadow_loop(state: Arc<State>, interval: Duration) {
     let mut last_sweep = std::time::Instant::now();
-    while !stop.load(Ordering::SeqCst) {
+    while !state.is_shutdown() {
         // Nap in small slices so shutdown never waits a full interval.
         std::thread::sleep(Duration::from_millis(10));
         if last_sweep.elapsed() < interval {
@@ -832,16 +804,8 @@ fn shadow_loop(state: Arc<State>, stop: Arc<AtomicBool>, interval: Duration) {
 /// failover), and the sweep refreshes the `cluster.shadow_lag` gauge
 /// with the worst per-session sample gap it leaves behind.
 fn shadow_sweep(state: &State) {
-    let snapshot: Vec<(String, Arc<Slot>)> = {
-        let inner = state.inner.lock().expect("cluster state poisoned");
-        inner
-            .sessions
-            .iter()
-            .map(|(id, slot)| (id.clone(), Arc::clone(slot)))
-            .collect()
-    };
     let mut max_lag = 0u64;
-    for (id, slot) in snapshot {
+    for (id, slot) in state.routes() {
         let mut route = slot.route.lock().expect("session route poisoned");
         let lag_of = |route: &Route| {
             route
@@ -913,15 +877,7 @@ fn failover_sessions_of(state: &State, dead: ShardId, cause: &str) {
             &[("id", id.to_string()), ("cause", cause.to_string())],
         );
     };
-    let snapshot: Vec<(String, Arc<Slot>)> = {
-        let inner = state.inner.lock().expect("cluster state poisoned");
-        inner
-            .sessions
-            .iter()
-            .map(|(id, slot)| (id.clone(), Arc::clone(slot)))
-            .collect()
-    };
-    for (id, slot) in snapshot {
+    for (id, slot) in state.routes() {
         let mut route = slot.route.lock().expect("session route poisoned");
         if route.shard != dead {
             continue;
@@ -992,85 +948,6 @@ fn failover_sessions_of(state: &State, dead: ShardId, cause: &str) {
 // ---------------------------------------------------------------------------
 // Connection handling.
 
-fn handle_connection(stream: TcpStream, state: &Arc<State>) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    loop {
-        let mut line = String::new();
-        let n = (&mut reader).take(MAX_LINE_BYTES).read_line(&mut line)?;
-        if n == 0 {
-            return Ok(());
-        }
-        state.obs.wire_p1.count(n as u64, 0);
-        if !line.ends_with('\n') {
-            // Same truncation rule as the shard server: never dispatch a
-            // cut-short line.
-            if n as u64 == MAX_LINE_BYTES {
-                let reply = err_line("bad-request", "line exceeds the protocol size limit");
-                write_reply(&mut writer, state, &reply)?;
-            }
-            return Ok(());
-        }
-        if let Ok((verb, fields)) = protocol::tokenize(&line) {
-            // `hello proto=2` upgrades the connection to multiplexed
-            // binary framing and never returns to line mode, so it is
-            // dispatched here, exactly as on the shard tier. The hello
-            // exchange itself is always line-based.
-            // Hello is connection negotiation, not request traffic:
-            // whatever the proto, it bypasses `accept_line` so it never
-            // mints a rid — a negotiated connection and a bare one must
-            // leave the rid sequence (and thus the byte-exact relay
-            // lines later rids ride on) identical.
-            if verb == "hello" {
-                let banner = route_line(&line, state);
-                write_reply(&mut writer, state, &banner)?;
-                if let Some(Ok(proto)) = find(&fields, "proto").map(str::parse::<u32>) {
-                    if proto >= PROTO_V2 && proto <= state.limits.max_proto {
-                        let host = Arc::new(ClusterHost {
-                            state: Arc::clone(state),
-                        });
-                        return run_mux(reader, writer, host);
-                    }
-                }
-                continue;
-            }
-            // `subscribe` upgrades the connection to a one-way push
-            // stream and never returns to request/reply, so it is also
-            // dispatched here — it needs the writer, not just a reply
-            // line.
-            if verb == "subscribe" {
-                let interval_ms = match find(&fields, "interval_ms") {
-                    None => 200,
-                    Some(raw) => match raw.parse::<u64>() {
-                        Ok(ms) => ms,
-                        Err(_) => {
-                            let reply =
-                                err_line("bad-request", "interval_ms must be a non-negative int");
-                            write_reply(&mut writer, state, &reply)?;
-                            continue;
-                        }
-                    },
-                };
-                return serve_cluster_subscription(&mut writer, state, interval_ms);
-            }
-        }
-        let (reply, rid) = accept_line(&line, state);
-        state.obs.wire_p1.count_payload(&line, &reply);
-        let w0 = Instant::now();
-        write_reply(&mut writer, state, &reply)?;
-        let wdur = w0.elapsed();
-        state.obs.registry.span(
-            "cluster.phase.write",
-            &rid,
-            wdur,
-            &[
-                ("phase", "write".to_string()),
-                ("parent", "accept".to_string()),
-            ],
-        );
-    }
-}
-
 /// Routes one client line under its request id, timing the router's
 /// whole ownership of the request as the trace tree's `accept` root
 /// span. The rid is the client's (when the line already ends in
@@ -1099,54 +976,71 @@ fn accept_line(line: &str, state: &State) -> (String, String) {
     (reply, rid)
 }
 
-/// Writes one reply line (appending the newline) and counts its bytes
-/// against the client-facing proto 1 wire counters.
-fn write_reply(writer: &mut TcpStream, state: &State, reply: &str) -> io::Result<()> {
-    writer.write_all(reply.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
-    state.obs.wire_p1.count(0, reply.len() as u64 + 1);
-    Ok(())
-}
-
-/// The router's half of a multiplexed proto 2 connection: requests are
-/// answered by the same [`route_line`] the line loop uses, and
-/// subscription pushes sample the same merged cluster-wide exposition.
+/// The router as the connection front end's [`MuxHost`]: requests are
+/// answered by [`route_line`] under both protocol generations, and
+/// subscription pushes carry the merged cluster-wide exposition.
 #[derive(Debug)]
 struct ClusterHost {
     state: Arc<State>,
 }
 
 impl MuxHost for ClusterHost {
-    fn handle_line(&self, line: &str) -> String {
-        // Same rid accounting as the line loop: the accept root span
-        // covers the router's whole ownership of the frame. The reply
-        // write itself happens on the shared writer thread, so proto 2
-        // traces have no router-side write node — the writer-queue
-        // gauge is what shows that backlog instead.
-        let reply = accept_line(line, &self.state).0;
-        self.state.obs.wire_p2.count_payload(line, &reply);
-        reply
+    fn handle_line(
+        &self,
+        line: &str,
+        proto: u32,
+        reply: &mut dyn FnMut(String) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let state = &*self.state;
+        // Hello and subscribe are connection control, not request
+        // traffic: they never mint a rid, so a negotiated connection, a
+        // streaming one and a bare one leave the rid sequence — and the
+        // byte-exact relay lines later rids ride on — identical.
+        let verb = line.split(' ').next().unwrap_or_default();
+        if matches!(verb.trim_end_matches(['\r', '\n']), "hello" | "subscribe") {
+            return reply(route_line(line, state));
+        }
+        let (answer, rid) = accept_line(line, state);
+        state.obs.wire(proto).count_payload(line, &answer);
+        if proto >= PROTO_V2 {
+            // The shared writer thread writes the reply, so proto 2
+            // traces have no router-side write node — the writer-queue
+            // gauge is what shows that backlog instead.
+            return reply(answer);
+        }
+        let w0 = Instant::now();
+        reply(answer)?;
+        state.obs.registry.span(
+            "cluster.phase.write",
+            &rid,
+            w0.elapsed(),
+            &[
+                ("phase", "write".to_string()),
+                ("parent", "accept".to_string()),
+            ],
+        );
+        Ok(())
     }
 
-    fn push_line(&self, seq: u64, journal_cursor: &mut u64) -> Option<String> {
-        render_cluster_push(&self.state, seq, journal_cursor)
+    fn exposition(&self) -> String {
+        merged_metrics(&self.state).2.render()
+    }
+
+    fn journal(&self) -> JournalSnapshot {
+        self.state.obs.registry.journal_snapshot()
     }
 
     fn is_shutdown(&self) -> bool {
-        self.state
-            .inner
-            .lock()
-            .expect("cluster state poisoned")
-            .shutdown
+        self.state.is_shutdown()
     }
 
-    fn journal_total(&self) -> u64 {
-        self.state.obs.registry.journal_snapshot().total
+    fn subscriber(&self) -> (Arc<Counter>, Arc<Counter>) {
+        let obs = &self.state.obs;
+        (Arc::clone(&obs.subscribe_drops), obs.subscriber().1)
     }
 
-    fn on_wire(&self, rx_bytes: u64, tx_bytes: u64) {
-        self.state.obs.wire_p2.count(rx_bytes, tx_bytes);
+    fn on_wire(&self, proto: u32, rx_bytes: u64, tx_bytes: u64) {
+        self.state.obs.wire(proto).count(rx_bytes, tx_bytes);
     }
 
     fn on_queue_wait(&self, line: &str, waited: Duration) {
@@ -1168,15 +1062,6 @@ impl MuxHost for ClusterHost {
     fn on_flow(&self, tags_in_flight: u64, writer_queue: u64) {
         self.state.obs.tags_in_flight.set(tags_in_flight as f64);
         self.state.obs.writer_queue.set(writer_queue as f64);
-    }
-
-    fn next_subscriber(&self) -> u64 {
-        self.state.obs.subscriber().0
-    }
-
-    fn on_push_drop(&self, sub: u64) {
-        self.state.obs.subscribe_drops.inc();
-        self.state.obs.sub_drop_counter(sub).inc();
     }
 }
 
@@ -1222,8 +1107,7 @@ fn route_line(line: &str, state: &State) -> String {
             _ => err_line("bad-request", "hello needs a numeric proto field"),
         },
         "ping" => {
-            let draining = state.inner.lock().expect("cluster state poisoned").shutdown;
-            if draining {
+            if state.is_shutdown() {
                 // Mirror the shard server: a draining router is not a
                 // healthy routing target.
                 err_line("shutdown", "cluster shutting down")
@@ -1242,6 +1126,13 @@ fn route_line(line: &str, state: &State) -> String {
         "cluster-journal" => cluster_journal_line(state),
         "trace" => trace_line(state, &fields),
         "cluster-trace" => cluster_trace_line(state, &fields),
+        // The shard's rule and ack: the front end then streams the
+        // merged exposition.
+        "subscribe" => format_response(&match parse_request(line) {
+            Ok(Request::Subscribe { interval_ms }) => subscribe_ack(interval_ms),
+            Ok(_) => Response::error("bad-request", "not a subscribe line"),
+            Err(e) => Response::error("bad-request", e.to_string()),
+        }),
         "open" | "restore" | "close" | "evict" | "ingest" | "report" | "energy" | "checkpoint"
         | "swap" => relay(line, &verb, &fields, state),
         other => err_line("bad-request", &format!("unknown verb {other:?}")),
@@ -1342,10 +1233,7 @@ fn fan_out<T: Send>(
     line: &str,
     parse: impl Fn(Response) -> Option<T> + Sync,
 ) -> Vec<Scraped<T>> {
-    let backends: Vec<Arc<Backend>> = {
-        let inner = state.inner.lock().expect("cluster state poisoned");
-        inner.backends.values().cloned().collect()
-    };
+    let backends = state.backends();
     let deadline = state.limits.scrape_timeout;
     let parse = &parse;
     std::thread::scope(|scope| {
@@ -1504,27 +1392,7 @@ fn trace_line(state: &State, fields: &[(String, String)]) -> String {
     if !valid_rid(rid) {
         return err_line("bad-request", "invalid rid");
     }
-    let reg = &state.obs.registry;
-    let mut snap = reg.snapshot();
-    snap.counters.clear();
-    snap.gauges.clear();
-    snap.histograms.clear();
-    snap.exemplars.clear();
-    snap.spans.retain(|s| s.rid == rid);
-    let mut journal = reg.journal_snapshot();
-    journal.events.retain(|e| e.rid == rid);
-    // Keep the codec invariant (total − events − dropped = 0): the
-    // filtered document stands alone, not as a window onto the ring.
-    journal.total = journal.events.len() as u64;
-    journal.dropped = 0;
-    format_response(&Response::ok([
-        ("instance", reg.instance().to_string()),
-        ("rid", rid.to_string()),
-        ("spans", snap.spans.len().to_string()),
-        ("events", journal.events.len().to_string()),
-        ("data", hex_encode(snap.render().as_bytes())),
-        ("journal", hex_encode(journal.render().as_bytes())),
-    ]))
+    format_response(&trace_reply(&state.obs.registry, rid))
 }
 
 /// `cluster-trace rid=…`: the on-demand cluster-wide trace assembler.
@@ -1574,95 +1442,6 @@ fn cluster_trace_line(state: &State, fields: &[(String, String)]) -> String {
         ("root_us", tree.root.dur_us.to_string()),
         ("data", hex_encode(tree.render().as_bytes())),
     ]))
-}
-
-/// How many frames a router subscription buffers before a slow consumer
-/// starts losing them (mirrors the shard server's policy: drop, count,
-/// never block the sampler or the data plane).
-const SUBSCRIBE_BUFFER: usize = 8;
-
-/// `subscribe` against the router: periodic `push` frames carrying the
-/// merged cluster-wide exposition plus the router's own journal delta.
-/// Framing, buffering, and slow-consumer policy are identical to the
-/// shard server's, so [`snn_serve::ServeClient::subscribe`] works
-/// against either tier.
-fn serve_cluster_subscription(
-    writer: &mut TcpStream,
-    state: &State,
-    interval_ms: u64,
-) -> io::Result<()> {
-    let interval = Duration::from_millis(interval_ms.clamp(10, 10_000));
-    // The journal cursor is taken before the ack: an event the client
-    // causes after reading the ack must reach a frame.
-    let mut prev_total = state.obs.registry.journal_snapshot().total;
-    let banner = format_response(&Response::ok([(
-        "interval_ms",
-        interval.as_millis().to_string(),
-    )]));
-    write_reply(writer, state, &banner)?;
-    let (tx, rx) = mpsc::sync_channel::<String>(SUBSCRIBE_BUFFER);
-    std::thread::scope(|scope| {
-        scope.spawn(move || {
-            let (_sub, sub_drops) = state.obs.subscriber();
-            let mut seq = 0u64;
-            loop {
-                if state.inner.lock().expect("cluster state poisoned").shutdown {
-                    return; // dropping tx ends the writer loop cleanly
-                }
-                std::thread::sleep(interval);
-                let Some(line) = render_cluster_push(state, seq, &mut prev_total) else {
-                    return;
-                };
-                seq += 1;
-                match tx.try_send(line + "\n") {
-                    Ok(()) => {}
-                    Err(mpsc::TrySendError::Full(_)) => {
-                        state.obs.subscribe_drops.inc();
-                        sub_drops.inc();
-                    }
-                    Err(mpsc::TrySendError::Disconnected(_)) => return,
-                }
-            }
-        });
-        // The writer loop runs on the connection thread; a write error
-        // (subscriber gone) drops `rx`, which the sampler sees on its
-        // next try_send and exits — the scope then joins it.
-        for frame in rx {
-            if writer
-                .write_all(frame.as_bytes())
-                .and_then(|()| writer.flush())
-                .is_err()
-            {
-                break;
-            }
-            state.obs.wire_p1.count(0, frame.len() as u64);
-        }
-    });
-    Ok(())
-}
-
-/// Renders one cluster telemetry push line (no trailing newline): the
-/// merged cluster-wide exposition plus the router's own journal delta
-/// since `prev_total`. `None` once the router is draining. Shared by the
-/// proto 1 dedicated-connection stream and the proto 2 mux sampler.
-fn render_cluster_push(state: &State, seq: u64, prev_total: &mut u64) -> Option<String> {
-    if state.inner.lock().expect("cluster state poisoned").shutdown {
-        return None;
-    }
-    let (_, _, metrics) = merged_metrics(state);
-    let mut journal = state.obs.registry.journal_snapshot();
-    // Delta framing, as on the shard tier: only events born since the
-    // last frame ride along.
-    let fresh = (journal.total - *prev_total).min(journal.events.len() as u64);
-    *prev_total = journal.total;
-    journal
-        .events
-        .drain(..journal.events.len() - fresh as usize);
-    Some(format!(
-        "push seq={seq} data={} journal={}",
-        hex_encode(metrics.render().as_bytes()),
-        hex_encode(journal.render().as_bytes()),
-    ))
 }
 
 /// `open`/`restore`: cluster admission, ring placement, optimistic table

@@ -21,7 +21,7 @@ use std::sync::{mpsc, Arc};
 use snn_data::Image;
 use snn_online::EnergyReport;
 
-use crate::frame::Frame;
+use crate::frame::{Frame, FLAG_PUSH};
 use crate::mux::MuxClient;
 use crate::protocol::{
     decode_predictions, format_request, hex_decode, parse_response, tokenize, ProtocolError,
@@ -434,18 +434,7 @@ impl ServeClient {
     /// missing, badly hex-encoded, or not valid exposition text surfaces
     /// as [`ClientError::Malformed`].
     pub fn metrics(&mut self) -> ClientResult<snn_obs::Snapshot> {
-        let resp = self.call(&Request::Metrics)?;
-        let Response::Ok(fields) = &resp else {
-            return Err(ClientError::Malformed("metrics reply"));
-        };
-        let hex = fields
-            .iter()
-            .find(|(k, _)| k == "data")
-            .map(|(_, v)| v.as_str())
-            .ok_or(ClientError::Malformed("metrics data field"))?;
-        let bytes = hex_decode(hex).map_err(|_| ClientError::Malformed("metrics data hex"))?;
-        let text =
-            String::from_utf8(bytes).map_err(|_| ClientError::Malformed("metrics data utf-8"))?;
+        let text = hex_text(&self.call(&Request::Metrics)?, "data")?;
         snn_obs::Snapshot::parse(&text).map_err(|_| ClientError::Malformed("metrics exposition"))
     }
 
@@ -458,13 +447,7 @@ impl ServeClient {
     /// missing, badly hex-encoded, or not valid journal text surfaces as
     /// [`ClientError::Malformed`].
     pub fn journal(&mut self) -> ClientResult<snn_obs::JournalSnapshot> {
-        let resp = self.call(&Request::Journal)?;
-        let hex = resp
-            .get("data")
-            .ok_or(ClientError::Malformed("journal data field"))?;
-        let bytes = hex_decode(hex).map_err(|_| ClientError::Malformed("journal data hex"))?;
-        let text =
-            String::from_utf8(bytes).map_err(|_| ClientError::Malformed("journal data utf-8"))?;
+        let text = hex_text(&self.call(&Request::Journal)?, "data")?;
         snn_obs::JournalSnapshot::parse(&text).map_err(|_| ClientError::Malformed("journal text"))
     }
 
@@ -485,22 +468,9 @@ impl ServeClient {
         let resp = self.call(&Request::Trace {
             rid: rid.to_string(),
         })?;
-        let spans_hex = resp
-            .get("data")
-            .ok_or(ClientError::Malformed("trace data field"))?;
-        let bytes = hex_decode(spans_hex).map_err(|_| ClientError::Malformed("trace data hex"))?;
-        let text =
-            String::from_utf8(bytes).map_err(|_| ClientError::Malformed("trace data utf-8"))?;
-        let spans =
-            snn_obs::Snapshot::parse(&text).map_err(|_| ClientError::Malformed("trace spans"))?;
-        let journal_hex = resp
-            .get("journal")
-            .ok_or(ClientError::Malformed("trace journal field"))?;
-        let bytes =
-            hex_decode(journal_hex).map_err(|_| ClientError::Malformed("trace journal hex"))?;
-        let text =
-            String::from_utf8(bytes).map_err(|_| ClientError::Malformed("trace journal utf-8"))?;
-        let journal = snn_obs::JournalSnapshot::parse(&text)
+        let spans = snn_obs::Snapshot::parse(&hex_text(&resp, "data")?)
+            .map_err(|_| ClientError::Malformed("trace spans"))?;
+        let journal = snn_obs::JournalSnapshot::parse(&hex_text(&resp, "journal")?)
             .map_err(|_| ClientError::Malformed("trace journal text"))?;
         Ok((spans, journal))
     }
@@ -523,13 +493,8 @@ impl ServeClient {
             Response::Err { code, msg } => return Err(ClientError::Server { code, msg }),
             ok => ok,
         };
-        let hex = resp
-            .get("data")
-            .ok_or(ClientError::Malformed("cluster-trace data field"))?;
-        let bytes = hex_decode(hex).map_err(|_| ClientError::Malformed("cluster-trace hex"))?;
-        let text =
-            String::from_utf8(bytes).map_err(|_| ClientError::Malformed("cluster-trace utf-8"))?;
-        snn_obs::TraceTree::parse(&text).map_err(|_| ClientError::Malformed("cluster-trace text"))
+        snn_obs::TraceTree::parse(&hex_text(&resp, "data")?)
+            .map_err(|_| ClientError::Malformed("cluster-trace text"))
     }
 
     /// Switches this connection into streaming mode: the server pushes
@@ -546,8 +511,8 @@ impl ServeClient {
     pub fn subscribe(mut self, interval_ms: u64) -> ClientResult<Subscription> {
         if let Transport::Mux(mux) = &self.transport {
             // Under proto 2 the subscription rides its tag on the shared
-            // connection: the ack retires the request, then `push`-flagged
-            // frames keep arriving on the same tag.
+            // connection: after the ack, `push`-flagged frames keep
+            // arriving on the same tag until one non-push frame ends it.
             let line = format_request(&Request::Subscribe { interval_ms });
             let (ack, rx) = mux.subscribe_line(line.trim_end_matches('\n'))?;
             if let Response::Err { code, msg } = parse_response(&ack)? {
@@ -775,7 +740,8 @@ pub struct Subscription {
 
 impl Subscription {
     /// Blocks for the next pushed frame. A clean end of stream (server
-    /// shutdown) surfaces as [`ClientError::Io`] with
+    /// shutdown: the connection closing under proto 1, the stream's one
+    /// non-push frame under proto 2) surfaces as [`ClientError::Io`] with
     /// [`io::ErrorKind::UnexpectedEof`].
     ///
     /// # Errors
@@ -805,12 +771,17 @@ impl Subscription {
                 line
             }
             SubscriptionInner::Mux { rx, .. } => {
-                let frame = rx.recv().map_err(|_| {
-                    ClientError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "subscription ended",
-                    ))
-                })?;
+                // The stream's last frame is its one non-push frame.
+                let frame = rx
+                    .recv()
+                    .ok()
+                    .filter(|frame| frame.flags & FLAG_PUSH != 0)
+                    .ok_or_else(|| {
+                        ClientError::Io(io::Error::new(
+                            io::ErrorKind::UnexpectedEof,
+                            "subscription ended",
+                        ))
+                    })?;
                 frame.to_line().map_err(|e| {
                     ClientError::Io(io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
                 })?
@@ -828,20 +799,23 @@ fn parse_push(line: &str) -> ClientResult<Push> {
         return Err(ClientError::Malformed("push frame verb"));
     }
     let resp = Response::Ok(fields);
-    let decode_text = |key: &'static str| -> ClientResult<String> {
-        let hex = resp.get(key).ok_or(ClientError::Malformed(key))?;
-        let bytes = hex_decode(hex).map_err(|_| ClientError::Malformed(key))?;
-        String::from_utf8(bytes).map_err(|_| ClientError::Malformed(key))
-    };
-    let metrics = snn_obs::Snapshot::parse(&decode_text("data")?)
+    let metrics = snn_obs::Snapshot::parse(&hex_text(&resp, "data")?)
         .map_err(|_| ClientError::Malformed("push metrics"))?;
-    let journal = snn_obs::JournalSnapshot::parse(&decode_text("journal")?)
+    let journal = snn_obs::JournalSnapshot::parse(&hex_text(&resp, "journal")?)
         .map_err(|_| ClientError::Malformed("push journal"))?;
     Ok(Push {
         seq: field(&resp, "seq")?,
         metrics,
         journal,
     })
+}
+
+/// A reply's hex-encoded text field, decoded; a missing, non-hex or
+/// non-UTF-8 field is [`ClientError::Malformed`] naming the field.
+fn hex_text(resp: &Response, key: &'static str) -> ClientResult<String> {
+    let hex = resp.get(key).ok_or(ClientError::Malformed(key))?;
+    let bytes = hex_decode(hex).map_err(|_| ClientError::Malformed(key))?;
+    String::from_utf8(bytes).map_err(|_| ClientError::Malformed(key))
 }
 
 fn wire_report(resp: &Response) -> ClientResult<WireReport> {

@@ -67,6 +67,7 @@
 
 pub mod client;
 pub mod frame;
+pub mod front;
 pub mod mux;
 pub(crate) mod obs;
 pub mod protocol;
@@ -78,6 +79,7 @@ pub use client::{
     ClientError, ClientResult, IngestOutcome, Push, ServeClient, Subscription, WireReport,
 };
 pub use frame::{Frame, FrameError};
+pub use front::{accept_loop, subscribe_ack};
 pub use mux::{run_mux, MuxClient, MuxHost};
 pub use protocol::{ProtocolError, Request, Response, SessionSpec, PROTO_V2, PROTO_VERSION};
 pub use server::{ServerConfig, SnnServer};

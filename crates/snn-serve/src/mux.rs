@@ -8,18 +8,22 @@
 //! **one** connection per shard and interleaves session traffic,
 //! checkpoint blobs, shadow pushes, and migrations over it.
 //!
-//! The server half ([`run_mux`]) is tier-agnostic: anything that can
-//! answer one protocol line implements [`MuxHost`], so the session
-//! server and the cluster router share this loop (and its flow-control
-//! policy) verbatim.
+//! The server half ([`run_mux`]) is tier-agnostic: it serves whatever
+//! implements [`MuxHost`], the host trait of the whole connection front
+//! end ([`crate::front`]), so the session server and the cluster router
+//! share this loop, its flow-control policy and the subscription stream
+//! verbatim.
 //!
 //! Flow control / slow-reader policy: at most [`MAX_INFLIGHT`] requests
 //! are being served per connection — the reader stops pulling frames
 //! when the window is full, so a flooding client is throttled by TCP
-//! backpressure, not by unbounded thread growth. Push frames are
-//! sacrificial: when the shared outbound queue is full they are dropped
-//! (and counted via [`MuxHost::on_push_drop`]) rather than ever
-//! stalling response traffic.
+//! backpressure, not by unbounded thread growth. A subscription stream
+//! holds its tag for its whole life and counts against [`MAX_STREAMS`]
+//! instead; a `subscribe` past that bound is refused on its tag, because
+//! a stream never frees its slot. A stream's pushes never stall response
+//! traffic: a subscriber that lags drops its own pushes (see
+//! [`crate::front`]), and its last frame is one non-push frame on its
+//! tag.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufReader, BufWriter, Write};
@@ -28,42 +32,73 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use snn_obs::{Counter, JournalSnapshot};
+
 use crate::frame::{line_to_frame, Frame, FrameError, FLAG_PUSH, HEADER_BYTES};
-use crate::protocol::{format_response, tokenize, Response};
+use crate::front::{verb, Stream};
+use crate::protocol::{format_response, Response, PROTO_V2};
 
 /// Cap on concurrently served requests per multiplexed connection.
 pub const MAX_INFLIGHT: usize = 64;
+
+/// Cap on concurrently open subscription streams per multiplexed
+/// connection. Each stream keeps its threads until shutdown or
+/// disconnect, so a `subscribe` past the cap is refused, never queued.
+pub const MAX_STREAMS: usize = 8;
 
 /// Wire size of a frame (header + body + checksum), for byte accounting.
 fn wire_len(frame: &Frame) -> u64 {
     (HEADER_BYTES + frame.head.len() + frame.payload.len() + 4) as u64
 }
 
-/// A request-serving endpoint a multiplexed connection can be run
-/// against. Implemented by the session server and the cluster router,
-/// which differ only in how a line is answered and what a subscription
-/// frame samples.
+/// What a tier plugs into the connection front end ([`crate::front`]
+/// and [`run_mux`]). Implemented by the session server and the cluster
+/// router, which differ only in how a request line is answered, which
+/// exposition a push carries, and which counters and spans are recorded.
 pub trait MuxHost: Send + Sync + 'static {
-    /// Serves one request line to completion and returns the response
-    /// line (no trailing newline). Must never panic on hostile input.
-    fn handle_line(&self, line: &str) -> String;
+    /// Serves one request line that arrived under protocol generation
+    /// `proto` (`PROTO_VERSION` on the line loop, [`PROTO_V2`] on a
+    /// multiplexed connection) and hands its reply line (no trailing
+    /// newline) to `reply`, exactly once. Under proto 1 `reply` writes
+    /// the socket, so a host can time it as the request's write phase;
+    /// under proto 2 it hands the line to the demux, whose writer thread
+    /// frames it. `hello` and `subscribe` lines arrive here too: the
+    /// front end upgrades a line connection whose `hello` was answered
+    /// `ok proto=2`, and streams for a `subscribe` answered with
+    /// [`crate::front::subscribe_ack`]. Must never panic on hostile
+    /// input.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error `reply` returned (the client is gone).
+    fn handle_line(
+        &self,
+        line: &str,
+        proto: u32,
+        reply: &mut dyn FnMut(String) -> io::Result<()>,
+    ) -> io::Result<()>;
 
-    /// Renders the next subscription push line (a `push seq=… data=…
-    /// journal=…` line), advancing `journal_cursor` past the events the
-    /// frame carries. Returning `None` ends the stream (shutdown).
-    fn push_line(&self, seq: u64, journal_cursor: &mut u64) -> Option<String>;
+    /// The metrics exposition a subscription push carries.
+    fn exposition(&self) -> String;
 
-    /// Whether the host is draining; push samplers exit when true.
+    /// The host's flight-recorder journal. A push carries the events
+    /// born since the previous push.
+    fn journal(&self) -> JournalSnapshot;
+
+    /// Whether the host is draining: the accept loop stops and
+    /// subscription streams end.
     fn is_shutdown(&self) -> bool;
 
-    /// Initial journal cursor for a new subscription (the host's current
-    /// journal total, so the first frame carries only fresh events).
-    fn journal_total(&self) -> u64;
+    /// Registers a new subscription stream: the host's aggregate drop
+    /// counter, and a drop counter of the stream's own that exists from
+    /// now on, so even a drop-free subscriber shows in the scrape.
+    fn subscriber(&self) -> (Arc<Counter>, Arc<Counter>);
 
-    /// Byte accounting hook: one request/response pair (or one push
-    /// frame with `rx == 0`) crossed the wire.
-    fn on_wire(&self, rx_bytes: u64, tx_bytes: u64) {
-        let _ = (rx_bytes, tx_bytes);
+    /// Byte accounting hook: `rx_bytes` arrived and `tx_bytes` left
+    /// under protocol generation `proto` (whole lines under proto 1,
+    /// whole frames under proto 2).
+    fn on_wire(&self, proto: u32, rx_bytes: u64, tx_bytes: u64) {
+        let _ = (proto, rx_bytes, tx_bytes);
     }
 
     /// Demux queue-wait hook: `line`'s frame waited `waited` for a slot
@@ -79,18 +114,6 @@ pub trait MuxHost: Send + Sync + 'static {
     /// demux/complete/write step; hosts publish the numbers as gauges.
     fn on_flow(&self, tags_in_flight: u64, writer_queue: u64) {
         let _ = (tags_in_flight, writer_queue);
-    }
-
-    /// Registers a new subscription stream, returning the sequence label
-    /// its drop accounting is filed under.
-    fn next_subscriber(&self) -> u64 {
-        0
-    }
-
-    /// A push frame was dropped for slow subscriber `sub` (the label
-    /// [`MuxHost::next_subscriber`] returned for its stream).
-    fn on_push_drop(&self, sub: u64) {
-        let _ = sub;
     }
 }
 
@@ -114,34 +137,27 @@ impl Outbound {
             }
         }
     }
-
-    fn try_send(&self, frame: Frame) -> Result<(), mpsc::TrySendError<Frame>> {
-        self.depth.fetch_add(1, Ordering::Relaxed);
-        match self.tx.try_send(frame) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                Err(e)
-            }
-        }
-    }
 }
 
 /// The in-flight window of one connection. A request holds its tag (for
 /// duplicate detection) until its response is complete, and its window
 /// slot until that response is queued for the writer: the client may
 /// reuse a tag as soon as the response lands, while a handler blocked
-/// on a slow reader still counts against [`MAX_INFLIGHT`].
+/// on a slow reader still counts against [`MAX_INFLIGHT`]. A
+/// subscription stream holds its tag for its whole life and counts
+/// against [`MAX_STREAMS`] instead.
 #[derive(Default)]
 struct Window {
     tags: HashSet<u32>,
     serving: usize,
+    streams: usize,
 }
 
 /// Serves one upgraded (post-`hello`) proto 2 connection until the peer
 /// disconnects: demultiplexes request frames, fans them out to worker
-/// threads bounded by [`MAX_INFLIGHT`], and serialises tagged response
-/// frames through one writer thread.
+/// threads bounded by [`MAX_INFLIGHT`], runs each `subscribe` as a
+/// stream bounded by [`MAX_STREAMS`], and serialises tagged response
+/// and push frames through one writer thread.
 ///
 /// Takes the connection's existing buffered reader (bytes a client
 /// pipelined behind its `hello` line must not be lost in the upgrade)
@@ -193,7 +209,7 @@ pub fn run_mux<R: io::Read, H: MuxHost>(
                 // unknowable for a head that failed to decode) and keep
                 // serving other in-flight work.
                 let resp = Response::error("bad-frame", e.to_string());
-                let _ = out_tx.try_send(line_to_frame(&format_response(&resp), 0, 0));
+                let _ = out_tx.send(line_to_frame(&format_response(&resp), 0, 0));
                 continue;
             }
             Err(FrameError::Io(e)) => break Err(e),
@@ -201,70 +217,115 @@ pub fn run_mux<R: io::Read, H: MuxHost>(
                 // Desynced or hostile stream: one best-effort error
                 // frame, then close — later bytes cannot be trusted.
                 let resp = Response::error("bad-frame", e.to_string());
-                let _ = out_tx.try_send(line_to_frame(&format_response(&resp), 0, 0));
+                let _ = out_tx.send(line_to_frame(&format_response(&resp), 0, 0));
                 break Ok(());
             }
         };
         if frame.flags & FLAG_PUSH != 0 {
             let resp = Response::error("bad-frame", "push flag is server-initiated only");
-            let _ = out_tx.try_send(line_to_frame(&format_response(&resp), frame.tag, 0));
+            let _ = out_tx.send(line_to_frame(&format_response(&resp), frame.tag, 0));
             continue;
         }
         let rx_bytes = wire_len(&frame);
-        let verb = frame.head.split(' ').next().unwrap_or("").to_string();
-        if verb == "subscribe" {
-            spawn_push_sampler(&frame, Arc::clone(&host), out_tx.clone());
-            continue;
-        }
+        let stream = verb(&frame.head) == "subscribe";
         let waited;
         {
             let (window, cv) = &*inflight;
             let mut window = window.lock().expect("inflight lock");
-            if window.tags.contains(&frame.tag) {
-                drop(window);
-                let resp = Response::error(
+            let refusal = if window.tags.contains(&frame.tag) {
+                Some(Response::error(
                     "duplicate-tag",
                     format!("tag {} is already in flight", frame.tag),
-                );
-                let _ = out_tx.try_send(line_to_frame(&format_response(&resp), frame.tag, 0));
+                ))
+            } else if stream && window.streams >= MAX_STREAMS {
+                Some(Response::error(
+                    "admission",
+                    format!("connection already carries {MAX_STREAMS} subscription streams"),
+                ))
+            } else {
+                None
+            };
+            if let Some(resp) = refusal {
+                drop(window);
+                let _ = out_tx.send(line_to_frame(&format_response(&resp), frame.tag, 0));
                 continue;
             }
-            // The flow-control window: stop pulling frames until a slot
-            // frees up. The kernel's receive buffer then fills and the
-            // client blocks in its own write — backpressure, not OOM.
-            // Time spent here is the request's demux queue-wait.
-            let wait0 = std::time::Instant::now();
-            while window.serving >= MAX_INFLIGHT {
-                window = cv.wait(window).expect("inflight lock");
-            }
-            waited = wait0.elapsed();
             window.tags.insert(frame.tag);
-            window.serving += 1;
-            host.on_flow(window.serving as u64, out_tx.depth.load(Ordering::Relaxed));
+            if stream {
+                window.streams += 1;
+                waited = Duration::ZERO;
+            } else {
+                // The flow-control window: stop pulling frames until a
+                // slot frees up. The kernel's receive buffer then fills
+                // and the client blocks in its own write — backpressure,
+                // not OOM. Time spent here is the request's demux
+                // queue-wait.
+                let wait0 = std::time::Instant::now();
+                while window.serving >= MAX_INFLIGHT {
+                    window = cv.wait(window).expect("inflight lock");
+                }
+                waited = wait0.elapsed();
+                window.serving += 1;
+                host.on_flow(window.serving as u64, out_tx.depth.load(Ordering::Relaxed));
+            }
         }
         let host = Arc::clone(&host);
         let out_tx = out_tx.clone();
         let inflight = Arc::clone(&inflight);
         std::thread::spawn(move || {
             let tag = frame.tag;
-            let response_line = match frame.to_line() {
+            let mut reply = String::new();
+            let mut opened = None;
+            // Cannot fail: the frames are queued below.
+            let mut keep = |line: String| -> io::Result<()> {
+                reply = line;
+                Ok(())
+            };
+            match frame.to_line() {
+                Ok(line) if stream => {
+                    opened = Stream::open(&*host, &line, PROTO_V2, &mut keep)
+                        .ok()
+                        .flatten();
+                }
                 Ok(line) => {
                     host.on_queue_wait(&line, waited);
-                    host.handle_line(&line)
+                    let _ = host.handle_line(&line, PROTO_V2, &mut keep);
                 }
-                Err(e) => format_response(&Response::error("bad-frame", e.to_string())),
-            };
-            let response = line_to_frame(&response_line, tag, 0);
-            host.on_wire(rx_bytes, wire_len(&response));
-            // Retire the tag before the response is queued, and the
-            // window slot only after: `send` blocks while the writer is
-            // stalled on a slow reader, and the reader must stall too.
+                Err(e) => reply = format_response(&Response::error("bad-frame", e.to_string())),
+            }
+            let mut last = line_to_frame(&reply, tag, 0);
+            host.on_wire(PROTO_V2, rx_bytes, wire_len(&last));
+            if let Some(stream) = opened {
+                // After the ack, pushes until shutdown or disconnect; the
+                // stream's last frame is one non-push frame, queued even
+                // behind a full queue: without it the subscriber would
+                // wait on the tag forever.
+                if out_tx.send(last).is_ok() {
+                    stream.run(&*host, |push| {
+                        let push = line_to_frame(&push, tag, FLAG_PUSH);
+                        let tx_bytes = wire_len(&push);
+                        out_tx.send(push).map_err(|_| io::ErrorKind::BrokenPipe)?;
+                        host.on_wire(PROTO_V2, 0, tx_bytes);
+                        Ok(())
+                    });
+                }
+                let end = Response::error("shutdown", "the subscription ended");
+                last = line_to_frame(&format_response(&end), tag, 0);
+                host.on_wire(PROTO_V2, 0, wire_len(&last));
+            }
+            // Retire the tag before the last frame is queued, and the
+            // slot only after: `send` blocks while the writer is stalled
+            // on a slow reader, and the reader must stall too.
             let (window, cv) = &*inflight;
             window.lock().expect("inflight lock").tags.remove(&tag);
-            let _ = out_tx.send(response);
+            let _ = out_tx.send(last);
             let remaining = {
                 let mut window = window.lock().expect("inflight lock");
-                window.serving -= 1;
+                if stream {
+                    window.streams -= 1;
+                } else {
+                    window.serving -= 1;
+                }
                 window.serving as u64
             };
             cv.notify_one();
@@ -272,59 +333,10 @@ pub fn run_mux<R: io::Read, H: MuxHost>(
         });
     };
     drop(out_tx);
-    // Worker and sampler threads hold channel clones; the writer exits
+    // Worker and stream threads hold channel clones; the writer exits
     // once the last of them finishes (or immediately on socket death).
     let _ = writer_thread.join();
     result
-}
-
-/// Starts one subscription stream: an `ok interval_ms=…` ack on the
-/// subscription's tag, then periodic [`FLAG_PUSH`] frames until host
-/// shutdown or connection death. The sampler never blocks on the
-/// subscriber: full outbound queues drop the frame and count it.
-fn spawn_push_sampler<H: MuxHost>(frame: &Frame, host: Arc<H>, out_tx: Outbound) {
-    let interval_ms: u64 = tokenize(&frame.head)
-        .ok()
-        .and_then(|(_, fields)| {
-            fields
-                .iter()
-                .find(|(k, _)| k == "interval_ms")
-                .and_then(|(_, v)| v.parse().ok())
-        })
-        .unwrap_or(200);
-    let interval = Duration::from_millis(interval_ms.clamp(10, 10_000));
-    let tag = frame.tag;
-    // The journal cursor is taken before the ack: an event the client
-    // causes after reading the ack must reach a frame.
-    let mut cursor = host.journal_total();
-    let ack = Response::ok([("interval_ms", interval.as_millis().to_string())]);
-    if out_tx
-        .send(line_to_frame(&format_response(&ack), tag, 0))
-        .is_err()
-    {
-        return;
-    }
-    std::thread::spawn(move || {
-        let sub = host.next_subscriber();
-        let mut seq = 0u64;
-        loop {
-            if host.is_shutdown() {
-                return;
-            }
-            std::thread::sleep(interval);
-            let Some(line) = host.push_line(seq, &mut cursor) else {
-                return;
-            };
-            seq += 1;
-            let push = line_to_frame(&line, tag, FLAG_PUSH);
-            let tx_bytes = wire_len(&push);
-            match out_tx.try_send(push) {
-                Ok(()) => host.on_wire(0, tx_bytes),
-                Err(mpsc::TrySendError::Full(_)) => host.on_push_drop(sub),
-                Err(mpsc::TrySendError::Disconnected(_)) => return,
-            }
-        }
-    });
 }
 
 /// The client half of a multiplexed connection: one writer, one reader
@@ -334,7 +346,7 @@ fn spawn_push_sampler<H: MuxHost>(frame: &Frame, host: Arc<H>, out_tx: Outbound)
 #[derive(Debug)]
 pub struct MuxClient {
     writer: Mutex<TcpStream>,
-    pending: Arc<Mutex<HashMap<u32, mpsc::Sender<Frame>>>>,
+    pending: Arc<Mutex<HashMap<u32, Pending>>>,
     next_tag: AtomicU32,
     dead: Arc<AtomicBool>,
     tx_bytes: AtomicU64,
@@ -380,14 +392,14 @@ impl MuxClient {
             while let Ok(Some(frame)) = Frame::read_from(&mut reader) {
                 rx_bytes.fetch_add(wire_len(&frame), Ordering::Relaxed);
                 let mut map = pending.lock().expect("pending lock");
-                let is_push = frame.flags & FLAG_PUSH != 0;
                 let tag = frame.tag;
-                if let Some(tx) = map.get(&tag) {
-                    let delivered = tx.send(frame).is_ok();
-                    // One-shot responses retire their tag here; push
-                    // streams keep theirs registered until the
-                    // subscriber goes away.
-                    if !is_push || !delivered {
+                if let Some(waiter) = map.get_mut(&tag) {
+                    // A response retires its tag here. A stream keeps its
+                    // tag through its `ok` ack and its pushes; its next
+                    // non-push frame (a refusal or the end) retires it.
+                    let keep = frame.flags & FLAG_PUSH != 0
+                        || std::mem::take(&mut waiter.opens_stream) && frame.head.starts_with("ok");
+                    if waiter.tx.send(frame).is_err() || !keep {
                         map.remove(&tag);
                     }
                 }
@@ -430,12 +442,6 @@ impl MuxClient {
                 return tag;
             }
         }
-    }
-
-    fn register(&self, tag: u32) -> mpsc::Receiver<Frame> {
-        let (tx, rx) = mpsc::channel();
-        self.pending.lock().expect("pending lock").insert(tag, tx);
-        rx
     }
 
     fn send_line(&self, line: &str, tag: u32) -> io::Result<u64> {
@@ -487,57 +493,59 @@ impl MuxClient {
     ///
     /// Fails as [`MuxClient::call_line`] does.
     pub fn call_line_counted(&self, line: &str) -> io::Result<(String, u64, u64)> {
-        if self.is_dead() {
-            return Err(disconnected());
-        }
-        let tag = self.alloc_tag();
-        let rx = self.register(tag);
-        let sent = match self.send_line(line, tag) {
-            Ok(sent) => sent,
-            Err(e) => {
-                self.pending.lock().expect("pending lock").remove(&tag);
-                return Err(e);
-            }
-        };
-        let frame = self.recv(&rx, tag)?;
-        let received = wire_len(&frame);
-        let reply = frame
-            .to_line()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        let (reply, _, sent, received) = self.exchange(line, false)?;
         Ok((reply, sent, received))
     }
 
     /// Starts a subscription stream: sends the `subscribe` line and
-    /// returns the ack line plus a receiver of raw push frames on the
-    /// subscription's tag.
+    /// returns the ack line plus a receiver of the frames that follow on
+    /// the subscription's tag: pushes, then one non-push frame when the
+    /// stream ends.
     ///
     /// # Errors
     ///
     /// Fails as [`MuxClient::call_line`] does on the handshake.
     pub fn subscribe_line(&self, line: &str) -> io::Result<(String, mpsc::Receiver<Frame>)> {
+        let (ack, rx, _, _) = self.exchange(line, true)?;
+        Ok((ack, rx))
+    }
+
+    /// Sends `line` on a fresh tag and waits for the tag's first frame:
+    /// its line, the receiver of the tag's later frames, and the bytes
+    /// sent and received.
+    fn exchange(
+        &self,
+        line: &str,
+        opens_stream: bool,
+    ) -> io::Result<(String, mpsc::Receiver<Frame>, u64, u64)> {
         if self.is_dead() {
             return Err(disconnected());
         }
         let tag = self.alloc_tag();
         let (tx, rx) = mpsc::channel();
+        let waiter = Pending { tx, opens_stream };
         self.pending
             .lock()
             .expect("pending lock")
-            .insert(tag, tx.clone());
-        if let Err(e) = self.send_line(line, tag) {
+            .insert(tag, waiter);
+        let sent = self.send_line(line, tag).inspect_err(|_| {
             self.pending.lock().expect("pending lock").remove(&tag);
-            return Err(e);
-        }
-        // The ack is the first frame on the tag; delivering it retired
-        // the tag (no PUSH flag), so re-register the same sender for the
-        // push stream that follows.
-        let ack = self.recv(&rx, tag)?;
-        self.pending.lock().expect("pending lock").insert(tag, tx);
-        let ack_line = ack
+        })?;
+        let frame = self.recv(&rx, tag)?;
+        let received = wire_len(&frame);
+        let reply = frame
             .to_line()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        Ok((ack_line, rx))
+        Ok((reply, rx, sent, received))
     }
+}
+
+/// A caller waiting for frames on one tag.
+#[derive(Debug)]
+struct Pending {
+    tx: mpsc::Sender<Frame>,
+    /// The tag carries a `subscribe`, whose `ok` ack must not retire it.
+    opens_stream: bool,
 }
 
 impl Drop for MuxClient {

@@ -225,13 +225,10 @@ impl ServeObs {
     /// eagerly so even a drop-free subscriber shows up in the scrape.
     pub(crate) fn subscriber(&self) -> (u64, Arc<Counter>) {
         let seq = self.sub_seq.fetch_add(1, Ordering::Relaxed);
-        (seq, self.sub_drop_counter(seq))
-    }
-
-    /// The per-subscriber drop counter for subscription `seq`.
-    pub(crate) fn sub_drop_counter(&self, seq: u64) -> Arc<Counter> {
-        self.registry
-            .counter(&format!("serve.subscribe.drops.sub{seq}"))
+        let drops = self
+            .registry
+            .counter(&format!("serve.subscribe.drops.sub{seq}"));
+        (seq, drops)
     }
 
     /// Stashes a request's queue/exec phase split for the wire layer to

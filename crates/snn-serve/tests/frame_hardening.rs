@@ -15,11 +15,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use snn_data::{Image, SyntheticDigits};
+use snn_obs::{Counter, JournalSnapshot};
 use snn_serve::frame::{
     line_to_frame, verb_code, Frame, FrameError, FLAG_PUSH, HEADER_BYTES, MAGIC, MAX_FRAME_PAYLOAD,
     VERB_RAW,
 };
-use snn_serve::mux::MAX_INFLIGHT;
+use snn_serve::mux::{MAX_INFLIGHT, MAX_STREAMS};
 use snn_serve::protocol::{format_request, parse_response, Request, Response, SessionSpec};
 use snn_serve::{run_mux, MuxHost, ServeClient, ServerConfig, SnnServer, PROTO_V2};
 use spikedyn::Method;
@@ -281,26 +282,93 @@ fn duplicate_tags_error_while_the_original_request_completes() {
         .starts_with("ok"));
 }
 
+#[test]
+fn subscriptions_hold_their_tags_and_are_bounded_per_connection() {
+    let server = start_server();
+    let mut stream = upgrade(&server);
+    // Streams at a 10 s interval: no push arrives while the test runs.
+    let full = MAX_STREAMS as u32;
+    for tag in 1..=full {
+        line_to_frame("subscribe interval_ms=10000", tag, 0)
+            .write_to(&mut stream)
+            .expect("subscribe");
+    }
+    let mut acked: Vec<(u32, String)> = (1..=full)
+        .map(|_| {
+            read_frame(&mut stream)
+                .map(|f| (f.tag, f.head))
+                .expect("ack")
+        })
+        .collect();
+    acked.sort();
+    let ack = |tag| (tag, "ok interval_ms=10000".to_string());
+    assert_eq!(acked, (1..=full).map(ack).collect::<Vec<_>>());
+
+    // A stream holds its tag against another stream and a request; past
+    // the bound a subscribe is refused on its own tag; requests still
+    // run beside the open streams.
+    let burst = [
+        ("subscribe", 1),
+        ("ping", 2),
+        ("subscribe", full + 1),
+        ("ping", full + 2),
+    ];
+    for (line, tag) in burst {
+        line_to_frame(line, tag, 0)
+            .write_to(&mut stream)
+            .expect("burst");
+    }
+    let mut replies: Vec<(u32, String)> = burst
+        .iter()
+        .map(|_| {
+            read_frame(&mut stream)
+                .map(|f| (f.tag, f.head))
+                .expect("reply")
+        })
+        .collect();
+    replies.sort();
+    let codes: Vec<&str> = replies.iter().map(|(_, head)| &head[..15]).collect();
+    assert_eq!(
+        codes,
+        [
+            "err code=duplic",
+            "err code=duplic",
+            "err code=admiss",
+            "ok pong=1 proto"
+        ],
+        "{replies:?}"
+    );
+}
+
 /// Answers every request with the same large `data=` reply and counts
 /// the requests it was handed.
 struct BulkHost(AtomicUsize, String);
 
 impl MuxHost for BulkHost {
-    fn handle_line(&self, _line: &str) -> String {
+    fn handle_line(
+        &self,
+        _line: &str,
+        _proto: u32,
+        reply: &mut dyn FnMut(String) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
         self.0.fetch_add(1, Ordering::SeqCst);
-        self.1.clone()
+        reply(self.1.clone())
     }
 
-    fn push_line(&self, _seq: u64, _journal_cursor: &mut u64) -> Option<String> {
-        None
+    fn exposition(&self) -> String {
+        String::new()
+    }
+
+    fn journal(&self) -> JournalSnapshot {
+        JournalSnapshot::new()
     }
 
     fn is_shutdown(&self) -> bool {
         false
     }
 
-    fn journal_total(&self) -> u64 {
-        0
+    fn subscriber(&self) -> (Arc<Counter>, Arc<Counter>) {
+        (Arc::default(), Arc::default())
     }
 }
 
