@@ -76,9 +76,8 @@ impl Backend {
         Backend::new(id, addr, None, io_timeout, wire)
     }
 
-    /// Opens the relay connection (refusing shards that do not speak
-    /// proto 2) and reads the shard's capabilities off its banner once
-    /// more — the connect handshake discards its fields.
+    /// Opens the relay connection, refusing shards that do not speak
+    /// proto 2; its handshake banner carries the shard's capabilities.
     fn new(
         id: ShardId,
         addr: SocketAddr,
@@ -96,18 +95,12 @@ impl Backend {
             supports_evict: AtomicBool::new(false),
             server: Mutex::new(server),
         };
-        let (mux, _) = backend.mux_handle()?;
-        if let Ok(banner) = mux.call_line(&format!("hello proto={PROTO_V2}")) {
-            if let Ok(resp) = snn_serve::protocol::parse_response(&banner) {
-                backend
-                    .supports_evict
-                    .store(resp.get("evict") == Some("1"), Ordering::SeqCst);
-            }
-        }
+        backend.mux_handle()?;
         Ok(backend)
     }
 
-    /// Whether the shard advertised eviction support at attach time.
+    /// Whether the shard advertised eviction support in the banner of
+    /// its relay connection's handshake.
     pub(crate) fn supports_evict(&self) -> bool {
         self.supports_evict.load(Ordering::SeqCst)
     }
@@ -182,8 +175,9 @@ impl Backend {
     }
 
     /// Takes the shared multiplexed connection, reconnecting when it is
-    /// missing or dead. The boolean is `true` when the connection was
-    /// freshly established by this call.
+    /// missing or dead (each connect's `hello` banner refreshes
+    /// [`Backend::supports_evict`]). The boolean is `true` when the
+    /// connection was freshly established by this call.
     fn mux_handle(&self) -> Result<(Arc<MuxClient>, bool), ClusterError> {
         if !self.is_alive() {
             return Err(ClusterError::ShardDown(self.id));
@@ -199,6 +193,8 @@ impl Backend {
             Some(timeout) => ServeClient::connect_with_proto_timeout(self.addr, PROTO_V2, timeout),
             None => ServeClient::connect_with_proto(self.addr, PROTO_V2),
         })?;
+        let evict = client.banner().get("evict") == Some("1");
+        self.supports_evict.store(evict, Ordering::SeqCst);
         let mux = client.mux().ok_or_else(|| ClusterError::Backend {
             shard: self.id,
             detail: "proto 2 negotiated without a multiplexed transport".to_string(),

@@ -260,6 +260,13 @@ mod tests {
             raw.contains("s0_alive=1") && raw.contains("s1_alive=1"),
             "got {raw:?}"
         );
+        // Each shard heard one `hello`: its relay connection's handshake,
+        // whose banner also carries the shard's `evict=` capability.
+        let raw = client.call_raw("cluster-metrics").unwrap();
+        let resp = snn_serve::protocol::parse_response(&raw).unwrap();
+        let hex = snn_serve::protocol::hex_decode(resp.get("data").unwrap()).unwrap();
+        let merged = snn_obs::Snapshot::parse(&String::from_utf8(hex).unwrap()).unwrap();
+        assert_eq!(merged.histogram("serve.req.hello_us").count(), 2);
         cluster.shutdown();
     }
 

@@ -632,95 +632,127 @@ fn rebalance_on(state: &State) -> Result<usize, ClusterError> {
 // Health and shadow threads.
 
 fn health_loop(state: Arc<State>) {
-    let mut last_sweep = std::time::Instant::now();
-    let mut failures: HashMap<ShardId, u32> = HashMap::new();
-    // The "death rid" per striking shard: minted at the first failed
-    // probe and carried by every probe-fail, the shard-down verdict, and
-    // (as `cause=`) each resulting failover — one id stitches the whole
-    // incident through the merged journal.
-    let mut death_rids: HashMap<ShardId, String> = HashMap::new();
+    let mut last_sweep = Instant::now();
+    // Per striking shard: its consecutive failed probes and the "death
+    // rid", minted at the first failed probe and carried by every
+    // probe-fail, the shard-down verdict, and (as `cause=`) each
+    // resulting failover — one id stitches the whole incident through
+    // the merged journal.
+    let mut striking: HashMap<ShardId, (u32, String)> = HashMap::new();
     while !state.is_shutdown() {
         // Nap in small slices so shutdown never waits a full interval.
         std::thread::sleep(Duration::from_millis(20));
-        let interval = state.limits.health_interval;
-        if last_sweep.elapsed() < interval {
+        if last_sweep.elapsed() < state.limits.health_interval {
             continue;
         }
-        last_sweep = std::time::Instant::now();
-        for backend in state.backends() {
-            if !backend.is_alive() {
-                failures.remove(&backend.id);
-                death_rids.remove(&backend.id);
-                continue;
+        last_sweep = Instant::now();
+        health_sweep(&state, &mut striking);
+    }
+}
+
+/// What a health visit learned from a shard that answered its probe.
+struct Health {
+    /// The shard's flight-recorder journal, when the capture answered.
+    journal: Option<String>,
+    /// The shard's own session count, when its `stats` answered.
+    sessions: Option<usize>,
+}
+
+/// One health sweep. Every live shard is visited at once through
+/// [`fan_out`]: a `ping` under the probe deadline and, only if it
+/// answers, the black-box `journal` capture and reconcile's `stats`
+/// under the scrape deadline — so however many shards stall or wedge,
+/// a sweep waits at most one probe deadline plus two scrape deadlines.
+/// Then, in shard order, answered probes clear strikes and refresh the
+/// journal cache, failed ones [`strike`], and [`reconcile`] runs
+/// against the shards whose `stats` answered.
+fn health_sweep(state: &State, striking: &mut HashMap<ShardId, (u32, String)>) {
+    let visits = fan_out(state, |backend| {
+        backend.ping().then(|| Health {
+            journal: scrape(state, backend, "journal", |resp| hex_text(&resp, "data")).reply,
+            sessions: scrape(state, backend, "stats", |resp| {
+                resp.get("sessions")?.parse().ok()
+            })
+            .reply,
+        })
+    });
+    let mut counted = Vec::new();
+    for (backend, visit) in visits {
+        match visit {
+            // Already dead, so not contacted: nothing left to strike.
+            None => {
+                striking.remove(&backend.id);
             }
-            if backend.ping() {
+            Some(Some(health)) => {
                 state.obs.probe_ok.inc();
-                failures.remove(&backend.id);
-                death_rids.remove(&backend.id);
-                // Black-box sweep: refresh the cached copy of the
-                // shard's flight recorder while it is still answering,
-                // so a death in the next interval leaves a journal
-                // behind for the post-mortem.
-                let journal = backend
-                    .call_with_deadline("journal", state.limits.scrape_timeout)
-                    .and_then(|reply| parse_response(&reply).ok())
-                    .and_then(|resp| hex_text(&resp, "data"));
-                if let Some(text) = journal {
+                striking.remove(&backend.id);
+                // Black-box sweep: the cached copy of the shard's flight
+                // recorder is refreshed while it still answers, so a
+                // death in the next interval leaves a journal behind for
+                // the post-mortem.
+                if let Some(text) = health.journal {
                     let mut inner = state.inner.lock().expect("cluster state poisoned");
                     inner.journal_cache.insert(backend.id, text);
                 }
-                continue;
-            }
-            state.obs.probe_fail.inc();
-            let strikes = failures.entry(backend.id).or_insert(0);
-            *strikes += 1;
-            let rid = death_rids
-                .entry(backend.id)
-                .or_insert_with(|| state.obs.registry.mint_rid())
-                .clone();
-            state.obs.registry.journal_event(
-                "cluster.probe_fail",
-                &rid,
-                &[
-                    ("shard", backend.id.to_string()),
-                    ("strike", strikes.to_string()),
-                ],
-            );
-            if *strikes < state.limits.probes_to_kill {
-                continue;
-            }
-            failures.remove(&backend.id);
-            death_rids.remove(&backend.id);
-            state.obs.shard_down.inc();
-            state.obs.registry.journal_event(
-                "cluster.shard_down",
-                &rid,
-                &[("shard", backend.id.to_string())],
-            );
-            backend.mark_dead();
-            {
-                let mut inner = state.inner.lock().expect("cluster state poisoned");
-                inner.ring.remove(backend.id);
-                // Freeze the victim's last captured journal: its own
-                // process may be gone, but the black-box copy survives
-                // and rides in every later `cluster-journal` merge.
-                if let Some(text) = inner.journal_cache.remove(&backend.id) {
-                    inner.victim_journals.insert(backend.id, text);
+                if let Some(sessions) = health.sessions {
+                    counted.push((backend, sessions));
                 }
             }
-            if state.limits.shadow_interval.is_some() {
-                // Shadowed sessions resume from their replicas on live
-                // shards; the rest (never shadowed, stale, or the
-                // restore failed) fail fast as before.
-                failover_sessions_of(&state, backend.id, &rid);
-            } else {
-                // Their state died with the shard: fail the sessions
-                // now rather than letting clients discover it one
-                // timeout at a time.
-                drop_sessions_of(&state, backend.id);
-            }
+            Some(None) => strike(state, &backend, striking),
         }
-        reconcile(&state);
+    }
+    reconcile(state, &counted);
+}
+
+/// One failed probe of a live shard: a `cluster.probe_fail` strike under
+/// the incident's death rid and, at [`ClusterLimits::probes_to_kill`]
+/// consecutive strikes, the verdict — the shard leaves the ring, its last
+/// captured journal is frozen for the post-mortem, and its sessions fail
+/// over (with shadowing) or drop.
+fn strike(state: &State, backend: &Backend, striking: &mut HashMap<ShardId, (u32, String)>) {
+    state.obs.probe_fail.inc();
+    let (strikes, rid) = striking
+        .entry(backend.id)
+        .or_insert_with(|| (0, state.obs.registry.mint_rid()));
+    *strikes += 1;
+    state.obs.registry.journal_event(
+        "cluster.probe_fail",
+        rid,
+        &[
+            ("shard", backend.id.to_string()),
+            ("strike", strikes.to_string()),
+        ],
+    );
+    if *strikes < state.limits.probes_to_kill {
+        return;
+    }
+    let (_, rid) = striking.remove(&backend.id).expect("the shard just struck");
+    state.obs.shard_down.inc();
+    state.obs.registry.journal_event(
+        "cluster.shard_down",
+        &rid,
+        &[("shard", backend.id.to_string())],
+    );
+    backend.mark_dead();
+    {
+        let mut inner = state.inner.lock().expect("cluster state poisoned");
+        inner.ring.remove(backend.id);
+        // Freeze the victim's last captured journal: its own process may
+        // be gone, but the black-box copy survives and rides in every
+        // later `cluster-journal` merge.
+        if let Some(text) = inner.journal_cache.remove(&backend.id) {
+            inner.victim_journals.insert(backend.id, text);
+        }
+    }
+    if state.limits.shadow_interval.is_some() {
+        // Shadowed sessions resume from their replicas on live shards;
+        // the rest (never shadowed, stale, or the restore failed) fail
+        // fast as before.
+        failover_sessions_of(state, backend.id, &rid);
+    } else {
+        // Their state died with the shard: fail the sessions now rather
+        // than letting clients discover it one timeout at a time.
+        drop_sessions_of(state, backend.id);
     }
 }
 
@@ -728,32 +760,25 @@ fn health_loop(state: Arc<State>) {
 /// to a shard directly); if the affected clients never send another
 /// request, the relayed-reply mirror in `handle_session` never fires
 /// and the stale routes would hold cluster admission capacity forever.
-/// This pass compares each live shard's own session count against the
-/// routes pointing at it — only a mismatch triggers per-session probes,
-/// so the steady-state cost is one `stats` round trip per shard per
-/// health interval.
-fn reconcile(state: &State) {
+/// This pass compares each shard's own session count — the `stats` its
+/// health visit just scraped — against the routes pointing at it. Only
+/// a shortfall triggers per-route `report` probes, and only to a shard
+/// that has just answered, so the steady-state cost is the sweep's one
+/// `stats` round trip per shard.
+fn reconcile(state: &State, counted: &[(Arc<Backend>, usize)]) {
+    if counted.is_empty() {
+        return;
+    }
     let mut routed: HashMap<ShardId, Vec<(String, Arc<Slot>)>> = HashMap::new();
     for (id, slot) in state.routes() {
         let shard = slot.route.lock().expect("session route poisoned").shard;
         routed.entry(shard).or_default().push((id, slot));
     }
-    for backend in state.backends() {
-        if !backend.is_alive() {
-            continue;
-        }
+    for (backend, shard_sessions) in counted {
         let Some(routes) = routed.get(&backend.id) else {
             continue;
         };
-        let shard_sessions = backend
-            .call_raw("stats", true)
-            .ok()
-            .and_then(|reply| parse_response(&reply).ok())
-            .and_then(|resp| resp.get("sessions").and_then(|v| v.parse::<usize>().ok()));
-        let Some(shard_sessions) = shard_sessions else {
-            continue;
-        };
-        if shard_sessions >= routes.len() {
+        if *shard_sessions >= routes.len() || !backend.is_alive() {
             continue;
         }
         // The shard holds fewer sessions than we route to it: probe each
@@ -1208,61 +1233,36 @@ fn router_snapshot(state: &State) -> Snapshot {
     r.snapshot()
 }
 
-/// One attached shard's part in a [`fan_out`].
+/// One shard's answer to one [`scrape`].
 struct Scraped<T> {
-    backend: Arc<Backend>,
-    /// Wall time of the round trip; `None` for a shard already marked
-    /// dead, which is not contacted.
-    elapsed: Option<Duration>,
-    /// The parsed reply; `None` when the shard is dead, timed out, failed,
-    /// or answered something the caller's parser rejects.
+    /// Wall time of the round trip.
+    elapsed: Duration,
+    /// The parsed reply; `None` when the shard timed out, failed, or
+    /// answered something the caller's parser rejects.
     reply: Option<T>,
 }
 
-/// The one way the router reaches every shard at once: sends `line` to
-/// each live shard on its own thread and its own deadline-bounded
-/// connection ([`Backend::call_with_deadline`] under
-/// [`ClusterLimits::scrape_timeout`]), so any number of stalled shards
-/// cost the caller one deadline, never one per shard and never the
-/// data-plane `io_timeout`. Each round trip is timed into
-/// `cluster.scrape_us`; a live shard whose reply is missing or rejected
-/// by `parse` ticks [`record_scrape_fail`]. Returns every attached shard,
-/// ascending by id.
+/// The one way the router reaches every shard at once: runs `visit` for
+/// each live shard on its own thread, so any number of stalled shards
+/// cost the caller one visit's deadlines, never one per shard. Visits
+/// contact a shard only on dedicated deadline-bounded connections
+/// ([`Backend::ping`], [`scrape`]), never over the data plane and its
+/// much larger `io_timeout`. Returns every attached shard, ascending by
+/// id, with its visit's result — `None` for a shard already marked dead,
+/// which is not contacted.
 fn fan_out<T: Send>(
     state: &State,
-    line: &str,
-    parse: impl Fn(Response) -> Option<T> + Sync,
-) -> Vec<Scraped<T>> {
-    let backends = state.backends();
-    let deadline = state.limits.scrape_timeout;
-    let parse = &parse;
+    visit: impl Fn(&Backend) -> T + Sync,
+) -> Vec<(Arc<Backend>, Option<T>)> {
+    let visit = &visit;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = backends
+        let handles: Vec<_> = state
+            .backends()
             .into_iter()
             .map(|backend| {
                 scope.spawn(move || {
-                    if !backend.is_alive() {
-                        return Scraped {
-                            backend,
-                            elapsed: None,
-                            reply: None,
-                        };
-                    }
-                    let t0 = Instant::now();
-                    let reply = backend
-                        .call_with_deadline(line, deadline)
-                        .and_then(|reply| parse_response(&reply).ok())
-                        .and_then(parse);
-                    let elapsed = t0.elapsed();
-                    state.obs.scrape_us.record_duration(elapsed);
-                    if reply.is_none() {
-                        record_scrape_fail(state, backend.id);
-                    }
-                    Scraped {
-                        backend,
-                        elapsed: Some(elapsed),
-                        reply,
-                    }
+                    let result = backend.is_alive().then(|| visit(&backend));
+                    (backend, result)
                 })
             })
             .collect();
@@ -1273,13 +1273,35 @@ fn fan_out<T: Send>(
     })
 }
 
-/// A [`fan_out`]'s live shards contacted, and the replies that parsed.
-fn replies<T>(scraped: Vec<Scraped<T>>) -> (usize, Vec<T>) {
-    let attempted = scraped.iter().filter(|s| s.elapsed.is_some()).count();
-    (
-        attempted,
-        scraped.into_iter().filter_map(|s| s.reply).collect(),
-    )
+/// One round trip of `line` to a shard on a dedicated connection under
+/// [`ClusterLimits::scrape_timeout`] ([`Backend::call_with_deadline`]),
+/// timed into `cluster.scrape_us`. A reply that is missing or rejected
+/// by `parse` ticks [`record_scrape_fail`].
+fn scrape<T>(
+    state: &State,
+    backend: &Backend,
+    line: &str,
+    parse: impl FnOnce(Response) -> Option<T>,
+) -> Scraped<T> {
+    let t0 = Instant::now();
+    let reply = backend
+        .call_with_deadline(line, state.limits.scrape_timeout)
+        .and_then(|reply| parse_response(&reply).ok())
+        .and_then(parse);
+    let elapsed = t0.elapsed();
+    state.obs.scrape_us.record_duration(elapsed);
+    if reply.is_none() {
+        record_scrape_fail(state, backend.id);
+    }
+    Scraped { elapsed, reply }
+}
+
+/// A one-scrape [`fan_out`]'s live shards contacted, and the replies
+/// that parsed.
+fn replies<T>(scraped: Vec<(Arc<Backend>, Option<Scraped<T>>)>) -> (usize, Vec<T>) {
+    let attempted = scraped.iter().filter(|(_, s)| s.is_some()).count();
+    let parsed = scraped.into_iter().filter_map(|(_, s)| s?.reply);
+    (attempted, parsed.collect())
 }
 
 /// A reply's hex-encoded text field, decoded (`None` when absent or not
@@ -1307,8 +1329,10 @@ fn cluster_metrics_line(state: &State) -> String {
 /// router's `subscribe` stream. Returns `(live shards attempted, scrapes
 /// that succeeded, merged snapshot)`.
 fn merged_metrics(state: &State) -> (usize, usize, Snapshot) {
-    let (attempted, snaps) = replies(fan_out(state, "metrics", |resp| {
-        Snapshot::parse(&hex_text(&resp, "data")?).ok()
+    let (attempted, snaps) = replies(fan_out(state, |shard| {
+        scrape(state, shard, "metrics", |resp| {
+            Snapshot::parse(&hex_text(&resp, "data")?).ok()
+        })
     }));
     let ok = snaps.len();
     let mut merged = router_snapshot(state);
@@ -1354,8 +1378,10 @@ fn journal_line(state: &State) -> String {
 /// merge is ordered by event timestamp, so the tail of the reply reads
 /// as the cluster's last moments in causal order.
 fn cluster_journal_line(state: &State) -> String {
-    let (attempted, journals) = replies(fan_out(state, "journal", |resp| {
-        JournalSnapshot::parse(&hex_text(&resp, "data")?).ok()
+    let (attempted, journals) = replies(fan_out(state, |shard| {
+        scrape(state, shard, "journal", |resp| {
+            JournalSnapshot::parse(&hex_text(&resp, "data")?).ok()
+        })
     }));
     let ok = journals.len();
     let mut merged = state.obs.registry.journal_snapshot();
@@ -1411,11 +1437,14 @@ fn cluster_trace_line(state: &State, fields: &[(String, String)]) -> String {
     if !valid_rid(rid) {
         return err_line("bad-request", "invalid rid");
     }
-    let (attempted, traces) = replies(fan_out(state, &format!("trace rid={rid}"), |resp| {
-        Some((
-            Snapshot::parse(&hex_text(&resp, "data")?).ok()?,
-            JournalSnapshot::parse(&hex_text(&resp, "journal")?).ok()?,
-        ))
+    let line = format!("trace rid={rid}");
+    let (attempted, traces) = replies(fan_out(state, |shard| {
+        scrape(state, shard, &line, |resp| {
+            Some((
+                Snapshot::parse(&hex_text(&resp, "data")?).ok()?,
+                JournalSnapshot::parse(&hex_text(&resp, "journal")?).ok()?,
+            ))
+        })
     }));
     let ok = traces.len();
     let mut spans = state.obs.registry.snapshot().spans;
@@ -1754,32 +1783,28 @@ fn evict_on_shard(id: &str, backend: &Backend) -> Option<String> {
 // Stats aggregation.
 
 fn gather_stats(state: &State) -> ClusterStats {
-    let shards: Vec<ShardStats> = fan_out(state, "stats", Some)
+    let shards: Vec<ShardStats> = fan_out(state, |shard| scrape(state, shard, "stats", Some))
         .into_iter()
-        .map(
-            |Scraped {
-                 backend,
-                 elapsed,
-                 reply,
-             }| {
-                let field = |key: &str| reply.as_ref().and_then(|r| r.get(key));
-                let num = |key: &str| field(key).and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
-                ShardStats {
-                    id: backend.id,
-                    addr: backend.addr,
-                    alive: elapsed.is_some(),
-                    sessions: num("sessions") as usize,
-                    queued_jobs: num("queued_jobs") as usize,
-                    total_samples: num("total_samples"),
-                    total_j: field("total_j")
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .unwrap_or(0.0),
-                    uptime_s: num("uptime_s"),
-                    scrape_us: elapsed
-                        .map_or(0, |d| d.as_micros().min(u128::from(u64::MAX)) as u64),
-                }
-            },
-        )
+        .map(|(backend, scraped)| {
+            let reply = scraped.as_ref().and_then(|s| s.reply.as_ref());
+            let field = |key: &str| reply.and_then(|r| r.get(key));
+            let num = |key: &str| field(key).and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
+            ShardStats {
+                id: backend.id,
+                addr: backend.addr,
+                alive: scraped.is_some(),
+                sessions: num("sessions") as usize,
+                queued_jobs: num("queued_jobs") as usize,
+                total_samples: num("total_samples"),
+                total_j: field("total_j")
+                    .and_then(|v| v.parse::<f64>().ok())
+                    .unwrap_or(0.0),
+                uptime_s: num("uptime_s"),
+                scrape_us: scraped.as_ref().map_or(0, |s| {
+                    s.elapsed.as_micros().min(u128::from(u64::MAX)) as u64
+                }),
+            }
+        })
         .collect();
     let (sessions, evicted_sessions) = {
         let inner = state.inner.lock().expect("cluster state poisoned");

@@ -12,39 +12,26 @@
 //! exemplar <name> <region> <value> <rid> [k=v ...]
 //! ```
 //!
-//! [`Snapshot::render`] ∘ [`Snapshot::parse`] is an identity (pinned by
-//! this module's tests), which is what lets the cluster router scrape a
-//! shard's exposition over the wire, parse it, merge it, and re-render
-//! the aggregate without loss. Merging is associative and commutative:
-//! counters and gauges add, histograms add bucket-wise, spans form a
-//! canonically sorted multiset.
+//! A `span` line's tail is the record codec shared with the journal's
+//! `event` lines and the trace document's `node` lines
+//! ([`crate::Record`]). [`Snapshot::render`] ∘ [`Snapshot::parse`] is an
+//! identity (pinned by this module's tests), which is what lets the
+//! cluster router scrape a shard's exposition over the wire, parse it,
+//! merge it, and re-render the aggregate without loss. Merging is
+//! associative and commutative: counters and gauges add, histograms add
+//! bucket-wise, spans form a canonically sorted multiset.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::metrics::{Exemplar, HistogramSnapshot, HIST_BUCKETS, HIST_REGIONS};
-use crate::registry::valid_name;
-use crate::trace::{canonical_cmp, valid_rid, SpanRecord};
+use crate::record::{
+    body, merge_records, parse_fields, parse_record, valid_name, valid_rid, write_fields,
+    write_record, ParseError, Record,
+};
 
 /// The exposition header every rendered snapshot starts with.
 pub const EXPO_HEADER: &str = "# snn-obs v1";
-
-/// A parse error, with the 1-based line it occurred on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExpoError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What was wrong.
-    pub reason: String,
-}
-
-impl std::fmt::Display for ExpoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "exposition line {}: {}", self.line, self.reason)
-    }
-}
-
-impl std::error::Error for ExpoError {}
 
 /// A point-in-time copy of one registry (or a merge of several).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -57,7 +44,7 @@ pub struct Snapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Retained spans (insertion order for a single registry, canonical
     /// order after a merge).
-    pub spans: Vec<SpanRecord>,
+    pub spans: Vec<Record>,
     /// Tail-latency exemplars by histogram name, region-ascending. At
     /// most one exemplar per (name, region); merging keeps the slowest.
     pub exemplars: BTreeMap<String, Vec<Exemplar>>,
@@ -80,8 +67,7 @@ impl Snapshot {
         for (k, v) in &other.histograms {
             self.histograms.entry(k.clone()).or_default().merge(v);
         }
-        self.spans.extend(other.spans.iter().cloned());
-        self.spans.sort_by(canonical_cmp);
+        merge_records(&mut self.spans, &other.spans);
         for (name, theirs) in &other.exemplars {
             let ours = self.exemplars.entry(name.clone()).or_default();
             for e in theirs {
@@ -147,24 +133,22 @@ impl Snapshot {
             };
             let _ = writeln!(out, "hist {name} {} {buckets}", h.sum);
         }
-        for span in &self.spans {
-            let rid = if span.rid.is_empty() { "-" } else { &span.rid };
-            let _ = write!(
-                out,
-                "span {} {rid} {} {}",
-                span.name, span.start_us, span.dur_us
+        for s in &self.spans {
+            out.push_str("span");
+            write_record(
+                &mut out,
+                &s.name,
+                &s.rid,
+                s.start_us,
+                Some(s.dur_us),
+                &s.fields,
             );
-            for (k, v) in &span.fields {
-                let _ = write!(out, " {k}={v}");
-            }
             out.push('\n');
         }
         for (name, exemplars) in &self.exemplars {
             for e in exemplars {
                 let _ = write!(out, "exemplar {name} {} {} {}", e.region, e.value, e.rid);
-                for (k, v) in &e.fields {
-                    let _ = write!(out, " {k}={v}");
-                }
+                write_fields(&mut out, &e.fields);
                 out.push('\n');
             }
         }
@@ -175,62 +159,51 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// Returns [`ExpoError`] on a missing/unknown header, malformed
-    /// lines, out-of-range buckets, or invalid names.
-    pub fn parse(text: &str) -> Result<Snapshot, ExpoError> {
-        let err = |line: usize, reason: &str| ExpoError {
-            line,
-            reason: reason.to_string(),
-        };
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, first)) if first.trim_end() == EXPO_HEADER => {}
-            _ => return Err(err(1, "missing `# snn-obs v1` header")),
-        }
+    /// Returns [`ParseError`] on a missing/unknown header, malformed
+    /// lines, out-of-range buckets, or invalid names/rids/field keys.
+    pub fn parse(text: &str) -> Result<Snapshot, ParseError> {
         let mut snap = Snapshot::new();
-        for (i, raw) in lines {
-            let n = i + 1;
-            let line = raw.trim_end();
-            if line.is_empty() || line.starts_with('#') {
+        for (n, mut tok) in body(text, EXPO_HEADER)? {
+            let err = |reason: &str| ParseError::at(n, reason);
+            let kind = tok.next().unwrap_or_default();
+            if kind == "span" {
+                snap.spans.push(parse_record(&mut tok, true).map_err(err)?);
                 continue;
             }
-            let mut tok = line.split(' ');
-            let kind = tok.next().unwrap_or_default();
+            if !matches!(kind, "counter" | "gauge" | "hist" | "exemplar") {
+                return Err(err("unknown line kind"));
+            }
+            let name = tok.next().ok_or_else(|| err("missing name"))?;
+            if !valid_name(name) {
+                return Err(err("invalid metric name"));
+            }
             match kind {
                 "counter" | "gauge" => {
-                    let name = tok.next().ok_or_else(|| err(n, "missing name"))?;
-                    if !valid_name(name) {
-                        return Err(err(n, "invalid metric name"));
-                    }
-                    let value = tok.next().ok_or_else(|| err(n, "missing value"))?;
+                    let value = tok.next().ok_or_else(|| err("missing value"))?;
                     if tok.next().is_some() {
-                        return Err(err(n, "trailing tokens"));
+                        return Err(err("trailing tokens"));
                     }
                     if kind == "counter" {
                         let v = value
                             .parse::<u64>()
-                            .map_err(|_| err(n, "counter value is not a u64"))?;
+                            .map_err(|_| err("counter value is not a u64"))?;
                         *snap.counters.entry(name.to_string()).or_insert(0) += v;
                     } else {
                         let v = value
                             .parse::<f64>()
-                            .map_err(|_| err(n, "gauge value is not a number"))?;
+                            .map_err(|_| err("gauge value is not a number"))?;
                         snap.gauges.insert(name.to_string(), v);
                     }
                 }
                 "hist" => {
-                    let name = tok.next().ok_or_else(|| err(n, "missing name"))?;
-                    if !valid_name(name) {
-                        return Err(err(n, "invalid metric name"));
-                    }
                     let sum = tok
                         .next()
-                        .ok_or_else(|| err(n, "missing sum"))?
+                        .ok_or_else(|| err("missing sum"))?
                         .parse::<u64>()
-                        .map_err(|_| err(n, "hist sum is not a u64"))?;
-                    let buckets = tok.next().ok_or_else(|| err(n, "missing buckets"))?;
+                        .map_err(|_| err("hist sum is not a u64"))?;
+                    let buckets = tok.next().ok_or_else(|| err("missing buckets"))?;
                     if tok.next().is_some() {
-                        return Err(err(n, "trailing tokens"));
+                        return Err(err("trailing tokens"));
                     }
                     let mut h = HistogramSnapshot::new();
                     h.sum = sum;
@@ -238,92 +211,43 @@ impl Snapshot {
                         for pair in buckets.split(',') {
                             let (idx, count) = pair
                                 .split_once(':')
-                                .ok_or_else(|| err(n, "bucket pair is not idx:count"))?;
+                                .ok_or_else(|| err("bucket pair is not idx:count"))?;
                             let idx = idx
                                 .parse::<usize>()
-                                .map_err(|_| err(n, "bucket index is not a usize"))?;
+                                .map_err(|_| err("bucket index is not a usize"))?;
                             if idx >= HIST_BUCKETS {
-                                return Err(err(n, "bucket index out of range"));
+                                return Err(err("bucket index out of range"));
                             }
                             h.counts[idx] = count
                                 .parse::<u64>()
-                                .map_err(|_| err(n, "bucket count is not a u64"))?;
+                                .map_err(|_| err("bucket count is not a u64"))?;
                         }
                     }
                     snap.histograms.insert(name.to_string(), h);
                 }
-                "span" => {
-                    let name = tok.next().ok_or_else(|| err(n, "missing name"))?;
-                    if !valid_name(name) {
-                        return Err(err(n, "invalid span name"));
-                    }
-                    let rid = tok.next().ok_or_else(|| err(n, "missing rid"))?;
-                    let rid = if rid == "-" {
-                        String::new()
-                    } else if valid_rid(rid) {
-                        rid.to_string()
-                    } else {
-                        return Err(err(n, "invalid rid"));
-                    };
-                    let start_us = tok
-                        .next()
-                        .ok_or_else(|| err(n, "missing start_us"))?
-                        .parse::<u64>()
-                        .map_err(|_| err(n, "start_us is not a u64"))?;
-                    let dur_us = tok
-                        .next()
-                        .ok_or_else(|| err(n, "missing dur_us"))?
-                        .parse::<u64>()
-                        .map_err(|_| err(n, "dur_us is not a u64"))?;
-                    let mut fields = Vec::new();
-                    for pair in tok {
-                        let (k, v) = pair
-                            .split_once('=')
-                            .ok_or_else(|| err(n, "span field is not k=v"))?;
-                        fields.push((k.to_string(), v.to_string()));
-                    }
-                    snap.spans.push(SpanRecord {
-                        name: name.to_string(),
-                        rid,
-                        start_us,
-                        dur_us,
-                        fields,
-                    });
-                }
-                "exemplar" => {
-                    let name = tok.next().ok_or_else(|| err(n, "missing name"))?;
-                    if !valid_name(name) {
-                        return Err(err(n, "invalid metric name"));
-                    }
+                _ => {
                     let region = tok
                         .next()
-                        .ok_or_else(|| err(n, "missing region"))?
+                        .ok_or_else(|| err("missing region"))?
                         .parse::<usize>()
-                        .map_err(|_| err(n, "region is not a usize"))?;
+                        .map_err(|_| err("region is not a usize"))?;
                     if region >= HIST_REGIONS {
-                        return Err(err(n, "region out of range"));
+                        return Err(err("region out of range"));
                     }
                     let value = tok
                         .next()
-                        .ok_or_else(|| err(n, "missing value"))?
+                        .ok_or_else(|| err("missing value"))?
                         .parse::<u64>()
-                        .map_err(|_| err(n, "value is not a u64"))?;
-                    let rid = tok.next().ok_or_else(|| err(n, "missing rid"))?;
+                        .map_err(|_| err("value is not a u64"))?;
+                    let rid = tok.next().ok_or_else(|| err("missing rid"))?;
                     if !valid_rid(rid) {
-                        return Err(err(n, "invalid rid"));
-                    }
-                    let mut fields = Vec::new();
-                    for pair in tok {
-                        let (k, v) = pair
-                            .split_once('=')
-                            .ok_or_else(|| err(n, "exemplar field is not k=v"))?;
-                        fields.push((k.to_string(), v.to_string()));
+                        return Err(err("invalid rid"));
                     }
                     let candidate = Exemplar {
                         region,
                         value,
                         rid: rid.to_string(),
-                        fields,
+                        fields: parse_fields(tok).map_err(err)?,
                     };
                     // Duplicate (name, region) lines fold like a merge:
                     // the slowest wins, so parse tolerates concatenated
@@ -339,7 +263,6 @@ impl Snapshot {
                     }
                     ours.sort_by_key(|e| e.region);
                 }
-                _ => return Err(err(n, "unknown line kind")),
             }
         }
         Ok(snap)
@@ -409,10 +332,10 @@ mod tests {
         b.counters.insert("other".into(), 7);
         let mut c = Snapshot::new();
         c.gauges.insert("g".into(), 2.0);
-        c.spans.push(SpanRecord {
+        c.spans.push(Record {
+            start_us: 0,
             name: "x".into(),
             rid: String::new(),
-            start_us: 0,
             dur_us: 1,
             fields: vec![],
         });
@@ -438,6 +361,7 @@ mod tests {
             ("# snn-obs v1\nhist h 0 5-3\n", 2),
             ("# snn-obs v1\nspan x - 1\n", 2),
             ("# snn-obs v1\nspan x !bad! 1 2\n", 2),
+            ("# snn-obs v1\nspan x - 1 2 b@d=1\n", 2),
             ("# snn-obs v1\nwhatever\n", 2),
             ("# snn-obs v1\ncounter a 1 extra\n", 2),
             ("# snn-obs v1\nexemplar h 0 5\n", 2),

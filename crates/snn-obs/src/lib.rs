@@ -8,8 +8,14 @@
 //!   engine and scheduler can record without perturbing timing — and
 //!   *never* results, which depend only on persisted seeds (pinned by
 //!   `tests/obs_metrics.rs`).
-//! * **Registry** ([`Registry`]): per-instance named metric handles, a
-//!   bounded ring of recent [`SpanRecord`]s, and request-id minting.
+//! * **Records** ([`Record`]): spans and journal events are one record
+//!   shape — `name`, `rid`, `start_us`, `dur_us`, `k=v` fields; an
+//!   event has no duration — written and parsed by one line codec in
+//!   every document, merged under one canonical order, with one
+//!   [`ParseError`] for the three documents.
+//! * **Registry** ([`Registry`]): per-instance named metric handles, one
+//!   bounded record ring in two retention classes ([`SPAN_RING`] recent
+//!   spans, [`JOURNAL_RING`] journal events), and request-id minting.
 //!   One registry per server/router instance — the harness runs many
 //!   shards in one process, so nothing here is process-global.
 //! * **Tracing**: a request id (`rid`) is minted where a request first
@@ -26,14 +32,13 @@
 //!   render/parse pair is self-inverse, with associative snapshot
 //!   merging — the basis of the `metrics` wire verb and the cluster-wide
 //!   `cluster-metrics` fan-out scrape.
-//! * **Flight recorder** ([`JournalSnapshot`]): a bounded, always-on
-//!   ring of structured events (admissions, rejects, drift, evictions,
-//!   probe failures, failovers) with its own versioned text codec and
-//!   associative merge — the post-mortem complement to metrics, served
-//!   over the `journal` wire verb and merged cluster-wide by
-//!   `cluster-journal`.
+//! * **Flight recorder** ([`JournalSnapshot`]): the always-on ring of
+//!   events (admissions, rejects, drift, evictions, probe failures,
+//!   failovers) as a versioned text document with an associative merge —
+//!   the post-mortem complement to metrics, served over the `journal`
+//!   wire verb and merged cluster-wide by `cluster-journal`.
 //!
-//! Naming scheme, trace propagation rules, and the exposition grammar
+//! Naming scheme, trace propagation rules, and the record-line grammar
 //! are specified in `DESIGN.md` §10; the journal event schema and
 //! subscribe/streaming semantics in `DESIGN.md` §12.
 
@@ -42,20 +47,19 @@
 mod expo;
 mod journal;
 mod metrics;
+mod record;
 mod registry;
 mod trace;
 
-pub use expo::{ExpoError, Snapshot, EXPO_HEADER};
-pub use journal::{JournalError, JournalEvent, JournalSnapshot, JOURNAL_HEADER, JOURNAL_RING};
+pub use expo::{Snapshot, EXPO_HEADER};
+pub use journal::{JournalSnapshot, JOURNAL_HEADER};
 pub use metrics::{
     bucket_index, bucket_region, bucket_upper_bound, Counter, Exemplar, Gauge, Histogram,
     HistogramSnapshot, HIST_BUCKETS, HIST_REGIONS,
 };
-pub use registry::{valid_name, Registry, SPAN_RING};
-pub use trace::{
-    valid_rid, SpanRecord, TraceError, TraceNode, TraceShares, TraceTree, MAX_RID, PARENT_KEY,
-    PHASE_KEY, TRACE_HEADER,
-};
+pub use record::{valid_name, valid_rid, ParseError, Record, MAX_RID};
+pub use registry::{Registry, JOURNAL_RING, SPAN_RING};
+pub use trace::{TraceNode, TraceShares, TraceTree, PARENT_KEY, PHASE_KEY, TRACE_HEADER};
 
 #[cfg(test)]
 mod hammer {

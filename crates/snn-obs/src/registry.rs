@@ -1,5 +1,5 @@
-//! The metrics registry: named counters/gauges/histograms, a bounded
-//! span ring, and rid minting.
+//! The metrics registry: named counters/gauges/histograms, the record
+//! rings that retain recent spans and journal events, and rid minting.
 //!
 //! One registry per serving instance (an `snn-serve` server or an
 //! `snn-cluster` router). Instances are per-object rather than
@@ -17,23 +17,67 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::expo::Snapshot;
-use crate::journal::{JournalEvent, JournalSnapshot, JOURNAL_RING};
+use crate::journal::JournalSnapshot;
 use crate::metrics::{bucket_region, Counter, Exemplar, Gauge, Histogram};
-use crate::trace::SpanRecord;
+use crate::record::{sanitize, valid_name, valid_rid, Record};
 
 /// How many recent spans a registry retains (older spans are dropped;
 /// counters and histograms carry the long-run aggregate).
 pub const SPAN_RING: usize = 256;
 
-/// Whether `name` is a well-formed metric name: non-empty, at most 128
-/// bytes of `[A-Za-z0-9._-]`, dotted by convention (`layer.subsystem.
-/// metric_unit`).
-pub fn valid_name(name: &str) -> bool {
-    !name.is_empty()
-        && name.len() <= 128
-        && name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
+/// How many recent journal events a registry retains (older events are
+/// dropped and counted in the journal's `dropped`).
+pub const JOURNAL_RING: usize = 512;
+
+/// A bounded ring of records, one per retention class ([`SPAN_RING`]
+/// spans, [`JOURNAL_RING`] journal events). Overflow drops the oldest
+/// record and counts it — truncation is visible, never silent.
+#[derive(Debug)]
+struct Ring {
+    cap: usize,
+    state: Mutex<RingState>,
+}
+
+#[derive(Debug, Default)]
+struct RingState {
+    records: VecDeque<Record>,
+    /// Records ever pushed (retained or dropped).
+    total: u64,
+    dropped: u64,
+}
+
+impl Ring {
+    fn new(cap: usize) -> Ring {
+        Ring {
+            cap,
+            state: Mutex::new(RingState::default()),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, RingState> {
+        self.state.lock().expect("record ring poisoned")
+    }
+
+    fn push(&self, record: Record) {
+        let mut ring = self.lock();
+        ring.total += 1;
+        if ring.records.len() >= self.cap {
+            ring.records.pop_front();
+            ring.dropped += 1;
+        }
+        ring.records.push_back(record);
+    }
+
+    /// A point-in-time copy: the ever-pushed total, the drop count, and
+    /// the retained records oldest first.
+    fn snapshot(&self) -> JournalSnapshot {
+        let ring = self.lock();
+        JournalSnapshot {
+            total: ring.total,
+            dropped: ring.dropped,
+            events: ring.records.iter().cloned().collect(),
+        }
+    }
 }
 
 /// A per-instance metrics registry. See the module docs.
@@ -45,22 +89,16 @@ pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    spans: Mutex<VecDeque<SpanRecord>>,
-    /// Spans the ring dropped to stay bounded, surfaced in the
-    /// exposition as the `obs.spans_dropped` counter — truncation is
-    /// visible, never silent.
-    spans_dropped: AtomicU64,
+    /// Recent spans; the drop count rides every exposition as the
+    /// `obs.spans_dropped` counter.
+    spans: Ring,
     /// Tail-latency exemplars: per histogram name, the slowest sample's
     /// rid (and context) per bucket region. Bounded by construction
     /// (histogram count × [`crate::HIST_REGIONS`]).
     exemplars: Mutex<BTreeMap<String, BTreeMap<usize, Exemplar>>>,
-    /// The flight-recorder ring (see [`crate::journal`]).
-    journal: Mutex<VecDeque<JournalEvent>>,
-    /// Events ever journaled (retained or dropped).
-    journal_total: AtomicU64,
-    /// Events the journal ring dropped to stay bounded, surfaced as the
-    /// `obs.journal_dropped` counter.
-    journal_dropped: AtomicU64,
+    /// The flight recorder (see [`crate::journal`]); its drop count
+    /// rides every exposition as the `obs.journal_dropped` counter.
+    journal: Ring,
 }
 
 impl Registry {
@@ -69,7 +107,7 @@ impl Registry {
     /// registry in merged scrapes.
     pub fn new(instance: &str) -> Self {
         assert!(
-            crate::trace::valid_rid(instance),
+            valid_rid(instance),
             "registry instance must be a valid rid prefix"
         );
         Registry {
@@ -79,12 +117,9 @@ impl Registry {
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            spans: Mutex::new(VecDeque::with_capacity(SPAN_RING)),
-            spans_dropped: AtomicU64::new(0),
+            spans: Ring::new(SPAN_RING),
             exemplars: Mutex::new(BTreeMap::new()),
-            journal: Mutex::new(VecDeque::with_capacity(JOURNAL_RING)),
-            journal_total: AtomicU64::new(0),
-            journal_dropped: AtomicU64::new(0),
+            journal: Ring::new(JOURNAL_RING),
         }
     }
 
@@ -140,29 +175,30 @@ impl Registry {
     /// token alphabet are sanitised, never rejected — tracing must not
     /// fail work that succeeded.
     pub fn span(&self, name: &str, rid: &str, dur: Duration, fields: &[(&str, String)]) {
-        let now_us = self.birth.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+        self.spans.push(self.record(name, rid, dur, fields));
+    }
+
+    /// The record of `dur` ending now that [`Registry::span`] and
+    /// [`Registry::journal_event`] retain: invalid rids become
+    /// unattributed, reserved keys are dropped, names, keys and values
+    /// are sanitised.
+    fn record(&self, name: &str, rid: &str, dur: Duration, fields: &[(&str, String)]) -> Record {
         let dur_us = dur.as_micros().min(u128::from(u64::MAX)) as u64;
-        let record = SpanRecord {
+        Record {
+            start_us: self.uptime_us().saturating_sub(dur_us),
             name: sanitize(name),
-            rid: if crate::trace::valid_rid(rid) {
+            rid: if valid_rid(rid) {
                 rid.to_string()
             } else {
                 String::new()
             },
-            start_us: now_us.saturating_sub(dur_us),
             dur_us,
             fields: fields
                 .iter()
                 .filter(|(k, _)| !matches!(*k, "rid" | "start_us" | "dur_us"))
                 .map(|(k, v)| (sanitize(k), sanitize(v)))
                 .collect(),
-        };
-        let mut ring = self.spans.lock().expect("span ring poisoned");
-        if ring.len() >= SPAN_RING {
-            ring.pop_front();
-            self.spans_dropped.fetch_add(1, Ordering::Relaxed);
         }
-        ring.push_back(record);
     }
 
     /// Records a tail-latency exemplar for the histogram `name`: if
@@ -175,7 +211,7 @@ impl Registry {
     /// record exemplars next to `Histogram::record`, not inside engine
     /// loops.
     pub fn exemplar(&self, name: &str, value: u64, rid: &str, fields: &[(&str, String)]) {
-        if !crate::trace::valid_rid(rid) {
+        if !valid_rid(rid) {
             return;
         }
         let candidate = Exemplar {
@@ -197,50 +233,20 @@ impl Registry {
         }
     }
 
-    /// Records one flight-recorder event, stamped now. The same
-    /// sanitisation discipline as [`Registry::span`]: bad kinds, rids,
-    /// and field values are repaired, never rejected — journaling must
-    /// not fail work that succeeded. The ring is bounded; overflow drops
-    /// the oldest event and counts it.
+    /// Records one flight-recorder event, stamped now: a record with no
+    /// duration, sanitised as [`Registry::span`] sanitises — journaling
+    /// must not fail work that succeeded. The ring is bounded; overflow
+    /// drops the oldest event and counts it.
     pub fn journal_event(&self, kind: &str, rid: &str, fields: &[(&str, String)]) {
-        let event = JournalEvent {
-            kind: sanitize(kind),
-            rid: if crate::trace::valid_rid(rid) {
-                rid.to_string()
-            } else {
-                String::new()
-            },
-            at_us: self.uptime_us(),
-            fields: fields
-                .iter()
-                .map(|(k, v)| (sanitize(k), sanitize(v)))
-                .collect(),
-        };
-        self.journal_total.fetch_add(1, Ordering::Relaxed);
-        let mut ring = self.journal.lock().expect("journal ring poisoned");
-        if ring.len() >= JOURNAL_RING {
-            ring.pop_front();
-            self.journal_dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(event);
+        self.journal
+            .push(self.record(kind, rid, Duration::ZERO, fields));
     }
 
     /// A point-in-time copy of the flight-recorder ring, with the
     /// ever-recorded total and drop count (the total lets a subscriber
     /// turn consecutive snapshots into an exact event delta).
     pub fn journal_snapshot(&self) -> JournalSnapshot {
-        let events: Vec<JournalEvent> = self
-            .journal
-            .lock()
-            .expect("journal ring poisoned")
-            .iter()
-            .cloned()
-            .collect();
-        JournalSnapshot {
-            total: self.journal_total.load(Ordering::Relaxed),
-            dropped: self.journal_dropped.load(Ordering::Relaxed),
-            events,
-        }
+        self.journal.snapshot()
     }
 
     /// Microseconds since this registry was created (the span clock).
@@ -259,13 +265,11 @@ impl Registry {
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
-        counters.insert(
-            "obs.spans_dropped".to_string(),
-            self.spans_dropped.load(Ordering::Relaxed),
-        );
+        let spans = self.spans.snapshot();
+        counters.insert("obs.spans_dropped".to_string(), spans.dropped);
         counters.insert(
             "obs.journal_dropped".to_string(),
-            self.journal_dropped.load(Ordering::Relaxed),
+            self.journal.lock().dropped,
         );
         let gauges = self
             .gauges
@@ -281,13 +285,6 @@ impl Registry {
             .iter()
             .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect();
-        let spans = self
-            .spans
-            .lock()
-            .expect("span ring poisoned")
-            .iter()
-            .cloned()
-            .collect();
         let exemplars = self
             .exemplars
             .lock()
@@ -299,31 +296,10 @@ impl Registry {
             counters,
             gauges,
             histograms,
-            spans,
+            spans: spans.events,
             exemplars,
         }
     }
-}
-
-/// Replaces every character outside the token alphabet with `_` and
-/// bounds the length, so spans can never break line framing or the
-/// exposition grammar.
-fn sanitize(s: &str) -> String {
-    let mut out: String = s
-        .chars()
-        .take(128)
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.') {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if out.is_empty() {
-        out.push('_');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -349,7 +325,7 @@ mod tests {
         let b = r.mint_rid();
         assert_ne!(a, b);
         assert!(a.starts_with("s9-"));
-        assert!(crate::trace::valid_rid(&a));
+        assert!(valid_rid(&a));
     }
 
     #[test]
@@ -380,7 +356,6 @@ mod tests {
 
     #[test]
     fn journal_ring_is_bounded_with_visible_drops() {
-        use crate::journal::JOURNAL_RING;
         let r = Registry::new("t3");
         for i in 0..(JOURNAL_RING + 5) {
             r.journal_event(

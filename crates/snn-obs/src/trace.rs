@@ -1,12 +1,12 @@
-//! Structured trace spans and parent-linked trace trees.
+//! Parent-linked trace trees assembled from spans and journal events.
 //!
 //! A span is one completed piece of work — a wire request, a scheduler
-//! job, a live migration — stamped with the request id (`rid`) that
-//! originated it. Rids are minted at the first tier that sees a request
-//! (the `snn-serve` wire layer, or the cluster router for relayed lines)
-//! and propagated as a trailing `rid=` field on forwarded protocol
-//! lines, so one client request's spans share a rid across every layer
-//! and shard it touched.
+//! job, a live migration — recorded as a [`Record`] stamped with the
+//! request id (`rid`) that originated it. Rids are minted at the first
+//! tier that sees a request (the `snn-serve` wire layer, or the cluster
+//! router for relayed lines) and propagated as a trailing `rid=` field
+//! on forwarded protocol lines, so one client request's spans share a
+//! rid across every layer and shard it touched.
 //!
 //! ## Trace trees
 //!
@@ -15,64 +15,21 @@
 //! covers (`accept`, `relay`, `request`, `demux_wait`, `queue_wait`,
 //! `exec`, `write`), and `parent=<label>` names the phase it nests
 //! under. Linkage is by phase *label*, not by numeric span id — labels
-//! are deterministic and survive the existing `# snn-obs v1` span
-//! grammar unchanged (span fields are free-form `k=v`). All spans
-//! sharing one rid, collected across every process that touched the
-//! request, assemble into one [`TraceTree`]; journal events carrying the
-//! rid (including a dead shard's black-box journal) ride along as
-//! zero-duration `event.<kind>` leaves, so a trace survives the death of
-//! the shard that served it. The tree renders as a versioned
-//! `# snn-trace v1` document with an embedded (comment-prefixed)
-//! critical-path report; see `DESIGN.md` §14.
+//! are deterministic and ride the record codec's `k=v` context
+//! unchanged. All spans sharing one rid, collected across every process
+//! that touched the request, assemble into one [`TraceTree`]; journal
+//! events carrying the rid (including a dead shard's black-box journal)
+//! ride along as zero-duration `event.<name>` leaves, so a trace
+//! survives the death of the shard that served it. The tree renders as a versioned
+//! `# snn-trace v1` document whose `node` lines end in the record codec,
+//! with an embedded (comment-prefixed) critical-path report; see
+//! `DESIGN.md` §14.
 
-/// Maximum rid length in bytes.
-pub const MAX_RID: usize = 64;
+use std::fmt::Write as _;
 
-/// Whether `rid` is a well-formed request id (non-empty, at most
-/// [`MAX_RID`] bytes of `[A-Za-z0-9._-]` — the same token alphabet as
-/// session ids, so a rid can ride any protocol line unquoted).
-pub fn valid_rid(rid: &str) -> bool {
-    !rid.is_empty()
-        && rid.len() <= MAX_RID
-        && rid
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
-}
-
-/// One completed span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// What ran (metric-style dotted name, e.g. `serve.ingest`).
-    pub name: String,
-    /// The originating request id; empty for unattributed work.
-    pub rid: String,
-    /// Start offset in microseconds since the owning registry's birth.
-    pub start_us: u64,
-    /// Duration in microseconds.
-    pub dur_us: u64,
-    /// Extra key/value context (e.g. `id`, `bytes`, `from`, `to`).
-    pub fields: Vec<(String, String)>,
-}
-
-impl SpanRecord {
-    /// The value of `key` in [`SpanRecord::fields`], if present.
-    pub fn field(&self, key: &str) -> Option<&str> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// Canonical span ordering used after merging snapshots, so merge stays
-/// associative (a sorted multiset is order-insensitive).
-pub(crate) fn canonical_cmp(a: &SpanRecord, b: &SpanRecord) -> std::cmp::Ordering {
-    (a.start_us, &a.name, &a.rid, a.dur_us, &a.fields)
-        .cmp(&(b.start_us, &b.name, &b.rid, b.dur_us, &b.fields))
-}
-
-// ---------------------------------------------------------------------------
-// Trace trees.
+use crate::record::{
+    body, parse_fields, parse_record, valid_name, valid_rid, write_record, ParseError, Record,
+};
 
 /// The header every rendered `snn-trace` document starts with.
 pub const TRACE_HEADER: &str = "# snn-trace v1";
@@ -82,23 +39,6 @@ pub const PHASE_KEY: &str = "phase";
 
 /// Span field key naming the phase a span nests under.
 pub const PARENT_KEY: &str = "parent";
-
-/// A trace-document error, with the 1-based line it occurred on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What was wrong.
-    pub reason: String,
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trace line {}: {}", self.line, self.reason)
-    }
-}
-
-impl std::error::Error for TraceError {}
 
 /// One node of an assembled [`TraceTree`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,6 +80,19 @@ impl TraceNode {
     /// Total nodes in this subtree, this node included.
     pub fn count(&self) -> usize {
         1 + self.children.iter().map(TraceNode::count).sum::<usize>()
+    }
+
+    /// A childless node for `phase` made of one record.
+    fn leaf(phase: String, r: Record) -> TraceNode {
+        TraceNode {
+            phase,
+            name: r.name,
+            rid: r.rid,
+            start_us: r.start_us,
+            dur_us: r.dur_us,
+            fields: r.fields,
+            children: Vec::new(),
+        }
     }
 
     /// Depth-first search for the first node (pre-order) with `phase`.
@@ -236,62 +189,45 @@ impl TraceTree {
     /// journal keeps its part of the story when its spans are
     /// unscrapeable).
     ///
-    /// Rules, all deterministic in the input multiset:
+    /// Both inputs are records and pass through one loop. Rules, all
+    /// deterministic in the input multisets:
     /// * spans without a `phase` field are ignored;
     /// * the root is the parentless span node with the largest
     ///   `dur_us` (ties broken canonically);
     /// * a `parent=<label>` link attaches to the first pre-order node
     ///   whose phase is `<label>`; unresolvable links attach under the
     ///   root;
-    /// * journal events become zero-duration `event.<kind>` leaves
+    /// * journal events become zero-duration `event.<name>` leaves
     ///   under the root, marked `via=journal`;
+    /// * the `phase`/`parent` linkage keys never reach a node's fields;
     /// * every child list is canonically sorted.
     ///
     /// Returns `None` when nothing at all references the rid.
-    pub fn assemble(
-        rid: &str,
-        spans: &[SpanRecord],
-        events: &[crate::journal::JournalEvent],
-    ) -> Option<TraceTree> {
+    pub fn assemble(rid: &str, spans: &[Record], events: &[Record]) -> Option<TraceTree> {
+        let tagged = spans.iter().map(|r| (r, false));
+        let tagged = tagged.chain(events.iter().map(|r| (r, true)));
         let mut candidates: Vec<(Option<String>, TraceNode)> = Vec::new();
-        for span in spans.iter().filter(|s| s.rid == rid) {
-            let Some(phase) = span.field(PHASE_KEY) else {
+        for (record, journaled) in tagged.filter(|(r, _)| r.rid == rid) {
+            let (phase, parent) = if journaled {
+                (format!("event.{}", record.name), None)
+            } else if let Some(phase) = record.field(PHASE_KEY) {
+                (
+                    phase.to_string(),
+                    record.field(PARENT_KEY).map(str::to_string),
+                )
+            } else {
                 continue;
             };
-            let parent = span.field(PARENT_KEY).map(str::to_string);
-            candidates.push((
-                parent,
-                TraceNode {
-                    phase: phase.to_string(),
-                    name: span.name.clone(),
-                    rid: span.rid.clone(),
-                    start_us: span.start_us,
-                    dur_us: span.dur_us,
-                    fields: span
-                        .fields
-                        .iter()
-                        .filter(|(k, _)| k != PHASE_KEY && k != PARENT_KEY)
-                        .cloned()
-                        .collect(),
-                    children: Vec::new(),
-                },
-            ));
-        }
-        for event in events.iter().filter(|e| e.rid == rid) {
-            let mut fields = event.fields.clone();
-            fields.push(("via".to_string(), "journal".to_string()));
-            candidates.push((
-                None,
-                TraceNode {
-                    phase: format!("event.{}", event.kind),
-                    name: event.kind.clone(),
-                    rid: event.rid.clone(),
-                    start_us: event.at_us,
-                    dur_us: 0,
-                    fields,
-                    children: Vec::new(),
-                },
-            ));
+            let mut record = record.clone();
+            record
+                .fields
+                .retain(|(k, _)| k != PHASE_KEY && k != PARENT_KEY);
+            if journaled {
+                record
+                    .fields
+                    .push(("via".to_string(), "journal".to_string()));
+            }
+            candidates.push((parent, TraceNode::leaf(phase, record)));
         }
         if candidates.is_empty() {
             return None;
@@ -394,7 +330,6 @@ impl TraceTree {
     /// report. [`TraceTree::parse`] skips comments and recomputes the
     /// report, so render ∘ parse ∘ render is byte-stable.
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "{TRACE_HEADER}");
         let _ = writeln!(
@@ -405,16 +340,9 @@ impl TraceTree {
             self.root.dur_us
         );
         fn emit(out: &mut String, node: &TraceNode, depth: usize) {
-            use std::fmt::Write as _;
-            let rid = if node.rid.is_empty() { "-" } else { &node.rid };
-            let _ = write!(
-                out,
-                "node {depth} {} {} {rid} {} {}",
-                node.phase, node.name, node.start_us, node.dur_us
-            );
-            for (k, v) in &node.fields {
-                let _ = write!(out, " {k}={v}");
-            }
+            let _ = write!(out, "node {depth} {}", node.phase);
+            let dur = Some(node.dur_us);
+            write_record(out, &node.name, &node.rid, node.start_us, dur, &node.fields);
             out.push('\n');
             for c in &node.children {
                 emit(out, c, depth + 1);
@@ -441,18 +369,9 @@ impl TraceTree {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError`] on a missing header, malformed lines,
-    /// depth jumps, or invalid names/rids.
-    pub fn parse(text: &str) -> Result<TraceTree, TraceError> {
-        let err = |line: usize, reason: &str| TraceError {
-            line,
-            reason: reason.to_string(),
-        };
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, first)) if first.trim_end() == TRACE_HEADER => {}
-            _ => return Err(err(1, "missing `# snn-trace v1` header")),
-        }
+    /// Returns [`ParseError`] on a missing header, malformed lines,
+    /// depth jumps, or invalid names/rids/field keys.
+    pub fn parse(text: &str) -> Result<TraceTree, ParseError> {
         let mut rid: Option<String> = None;
         // Stack of (depth, node); closing a depth folds the node into
         // its parent's child list.
@@ -468,88 +387,49 @@ impl TraceTree {
                     }
                 }
             };
-        for (i, raw) in lines {
-            let n = i + 1;
-            let line = raw.trim_end();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut tok = line.split(' ');
+        for (n, mut tok) in body(text, TRACE_HEADER)? {
+            let err = |reason: &str| ParseError::at(n, reason);
             match tok.next().unwrap_or_default() {
                 "trace" => {
-                    for pair in tok {
-                        let (k, v) = pair
-                            .split_once('=')
-                            .ok_or_else(|| err(n, "trace field is not k=v"))?;
+                    // nodes=/root_us= are derived; tolerated, not trusted.
+                    for (k, v) in parse_fields(tok).map_err(err)? {
                         if k == "rid" {
-                            if !valid_rid(v) {
-                                return Err(err(n, "invalid rid"));
+                            if !valid_rid(&v) {
+                                return Err(err("invalid rid"));
                             }
-                            rid = Some(v.to_string());
+                            rid = Some(v);
                         }
-                        // nodes=/root_us= are derived; tolerated, not trusted.
                     }
                 }
                 "node" => {
                     let depth = tok
                         .next()
-                        .ok_or_else(|| err(n, "missing depth"))?
+                        .ok_or_else(|| err("missing depth"))?
                         .parse::<usize>()
-                        .map_err(|_| err(n, "depth is not a usize"))?;
-                    let phase = tok.next().ok_or_else(|| err(n, "missing phase"))?;
-                    let name = tok.next().ok_or_else(|| err(n, "missing name"))?;
-                    if !crate::registry::valid_name(phase) || !crate::registry::valid_name(name) {
-                        return Err(err(n, "invalid phase or name"));
+                        .map_err(|_| err("depth is not a usize"))?;
+                    let phase = tok.next().ok_or_else(|| err("missing phase"))?;
+                    if !valid_name(phase) {
+                        return Err(err("invalid phase"));
                     }
-                    let node_rid = tok.next().ok_or_else(|| err(n, "missing rid"))?;
-                    let node_rid = if node_rid == "-" {
-                        String::new()
-                    } else if valid_rid(node_rid) {
-                        node_rid.to_string()
-                    } else {
-                        return Err(err(n, "invalid rid"));
-                    };
-                    let start_us = tok
-                        .next()
-                        .ok_or_else(|| err(n, "missing start_us"))?
-                        .parse::<u64>()
-                        .map_err(|_| err(n, "start_us is not a u64"))?;
-                    let dur_us = tok
-                        .next()
-                        .ok_or_else(|| err(n, "missing dur_us"))?
-                        .parse::<u64>()
-                        .map_err(|_| err(n, "dur_us is not a u64"))?;
-                    let mut fields = Vec::new();
-                    for pair in tok {
-                        let (k, v) = pair
-                            .split_once('=')
-                            .ok_or_else(|| err(n, "node field is not k=v"))?;
-                        fields.push((k.to_string(), v.to_string()));
-                    }
-                    let node = TraceNode {
-                        phase: phase.to_string(),
-                        name: name.to_string(),
-                        rid: node_rid,
-                        start_us,
-                        dur_us,
-                        fields,
-                        children: Vec::new(),
-                    };
+                    let node = TraceNode::leaf(
+                        phase.to_string(),
+                        parse_record(&mut tok, true).map_err(err)?,
+                    );
                     if depth > stack.len() {
-                        return Err(err(n, "node depth jumps past its parent"));
+                        return Err(err("node depth jumps past its parent"));
                     }
                     fold(&mut stack, &mut root, depth);
                     if depth == 0 && root.is_some() {
-                        return Err(err(n, "multiple root nodes"));
+                        return Err(err("multiple root nodes"));
                     }
                     stack.push((depth, node));
                 }
-                _ => return Err(err(n, "unknown line kind")),
+                _ => return Err(err("unknown line kind")),
             }
         }
         fold(&mut stack, &mut root, 0);
-        let root = root.ok_or_else(|| err(1, "document has no nodes"))?;
-        let rid = rid.ok_or_else(|| err(1, "document has no trace line"))?;
+        let root = root.ok_or_else(|| ParseError::at(1, "document has no nodes"))?;
+        let rid = rid.ok_or_else(|| ParseError::at(1, "document has no trace line"))?;
         Ok(TraceTree { rid, root })
     }
 }
@@ -558,31 +438,8 @@ impl TraceTree {
 mod tests {
     use super::*;
 
-    #[test]
-    fn rid_validation() {
-        assert!(valid_rid("s3-17"));
-        assert!(valid_rid("c0-1.retry_2"));
-        assert!(!valid_rid(""));
-        assert!(!valid_rid("has space"));
-        assert!(!valid_rid("quote\""));
-        assert!(!valid_rid(&"x".repeat(MAX_RID + 1)));
-    }
-
-    #[test]
-    fn field_lookup() {
-        let s = SpanRecord {
-            name: "serve.ingest".into(),
-            rid: "s0-1".into(),
-            start_us: 0,
-            dur_us: 5,
-            fields: vec![("id".into(), "a".into())],
-        };
-        assert_eq!(s.field("id"), Some("a"));
-        assert_eq!(s.field("missing"), None);
-    }
-
-    fn span(name: &str, rid: &str, start: u64, dur: u64, fields: &[(&str, &str)]) -> SpanRecord {
-        SpanRecord {
+    fn span(name: &str, rid: &str, start: u64, dur: u64, fields: &[(&str, &str)]) -> Record {
+        Record {
             name: name.into(),
             rid: rid.into(),
             start_us: start,
@@ -594,7 +451,7 @@ mod tests {
         }
     }
 
-    fn request_spans(rid: &str) -> Vec<SpanRecord> {
+    fn request_spans(rid: &str) -> Vec<Record> {
         vec![
             // Router side.
             span(
@@ -681,20 +538,10 @@ mod tests {
 
     #[test]
     fn journal_events_ride_as_leaves_and_survive_missing_spans() {
-        use crate::journal::JournalEvent;
+        // A journal event is a record with no duration.
         let events = vec![
-            JournalEvent {
-                kind: "serve.open".into(),
-                rid: "c0-7".into(),
-                at_us: 33,
-                fields: vec![("id".into(), "a".into())],
-            },
-            JournalEvent {
-                kind: "cluster.failover".into(),
-                rid: "other".into(),
-                at_us: 44,
-                fields: vec![],
-            },
+            span("serve.open", "c0-7", 33, 0, &[("id", "a")]),
+            span("cluster.failover", "other", 44, 0, &[]),
         ];
         // With spans: the event hangs off the root as an event leaf.
         let tree = TraceTree::assemble("c0-7", &request_spans("c0-7"), &events).unwrap();
@@ -738,12 +585,7 @@ mod tests {
         let tree = TraceTree::assemble(
             "c0-7",
             &request_spans("c0-7"),
-            &[crate::journal::JournalEvent {
-                kind: "serve.open".into(),
-                rid: "c0-7".into(),
-                at_us: 33,
-                fields: vec![("id".into(), "a".into())],
-            }],
+            &[span("serve.open", "c0-7", 33, 0, &[("id", "a")])],
         )
         .unwrap();
         let text = tree.render();
@@ -769,6 +611,7 @@ mod tests {
                 4,
             ),
             ("# snn-trace v1\ntrace rid=r-1\nnode 0 a b - 1 2 loose\n", 3),
+            ("# snn-trace v1\ntrace rid=r-1\nnode 0 a b - 1 2 =v\n", 3),
             ("# snn-trace v1\ntrace rid=r-1\n", 1),
             ("# snn-trace v1\nnode 0 a b - 1 2\n", 1),
             ("# snn-trace v1\ntrace rid=r-1\nwhatever\n", 3),

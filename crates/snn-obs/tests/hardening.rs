@@ -1,16 +1,19 @@
-//! Fuzz-ish hardening of the two text codecs (`Snapshot::parse` and
-//! `JournalSnapshot::parse`) against hostile input: truncations at every
-//! byte, line reorderings and duplications, and randomised byte
-//! mutations. The contract under attack:
+//! Fuzz-ish hardening of the three text codecs (`Snapshot::parse`,
+//! `JournalSnapshot::parse` and `TraceTree::parse`) against hostile
+//! input: truncations at every byte, line reorderings and duplications
+//! (the two order-insensitive formats), and randomised byte mutations.
+//! The contract under attack:
 //!
 //! * **No panics** — every input returns `Ok` or a clean `Err`.
-//! * **Bounded allocation** — nothing in either format pre-sizes
+//! * **Bounded allocation** — nothing in any format pre-sizes
 //!   buffers from attacker-claimed lengths; a tiny input claiming huge
 //!   counts parses into fixed-size structures.
 //! * **Clean errors** — failures carry a 1-based line number that
 //!   actually lies within the input.
+//! * **One rule** — every record line (`span`, `event`, `node`) refuses
+//!   a field key that is not a valid name.
 
-use snn_obs::{JournalSnapshot, Registry, Snapshot, HIST_BUCKETS};
+use snn_obs::{JournalSnapshot, Registry, Snapshot, TraceTree, HIST_BUCKETS};
 use std::time::Duration;
 
 /// A tiny deterministic xorshift generator, so the "fuzz" corpus is
@@ -57,6 +60,38 @@ fn sample_journal() -> String {
     r.journal_snapshot().render()
 }
 
+fn sample_trace() -> String {
+    let r = Registry::new("fz2");
+    let phase = |p: &str, parent: Option<&str>| {
+        let mut f = vec![("phase", p.to_string()), ("id", "load-1".to_string())];
+        f.extend(parent.map(|q| ("parent", q.to_string())));
+        f
+    };
+    r.span(
+        "cluster.phase.accept",
+        "fz2-1",
+        Duration::from_micros(90),
+        &phase("accept", None),
+    );
+    r.span(
+        "serve.ingest",
+        "fz2-1",
+        Duration::from_micros(70),
+        &phase("request", Some("accept")),
+    );
+    r.span(
+        "serve.exec.ingest",
+        "fz2-1",
+        Duration::from_micros(40),
+        &phase("exec", Some("request")),
+    );
+    r.journal_event("serve.open", "fz2-1", &[("id", "load-1".to_string())]);
+    let (spans, events) = (r.snapshot().spans, r.journal_snapshot().events);
+    TraceTree::assemble("fz2-1", &spans, &events)
+        .expect("the sample trace assembles")
+        .render()
+}
+
 /// Every prefix of a valid document parses without panicking, and any
 /// error names a line inside the prefix.
 fn truncations_are_clean<T>(text: &str, parse: impl Fn(&str) -> Result<T, (usize, String)>) {
@@ -86,6 +121,13 @@ fn truncated_expositions_never_panic() {
 fn truncated_journals_never_panic() {
     truncations_are_clean(&sample_journal(), |t| {
         JournalSnapshot::parse(t).map_err(|e| (e.line, e.reason))
+    });
+}
+
+#[test]
+fn truncated_traces_never_panic() {
+    truncations_are_clean(&sample_trace(), |t| {
+        TraceTree::parse(t).map_err(|e| (e.line, e.reason))
     });
 }
 
@@ -125,7 +167,7 @@ fn reordered_and_duplicated_lines_are_handled() {
 #[test]
 fn mutated_documents_never_panic() {
     let mut rng = XorShift(0x5eed_cafe_f00d_0001);
-    for base in [sample_expo(), sample_journal()] {
+    for base in [sample_expo(), sample_journal(), sample_trace()] {
         for _ in 0..400 {
             let mut bytes = base.clone().into_bytes();
             for _ in 0..(1 + rng.next() % 4) {
@@ -149,6 +191,9 @@ fn mutated_documents_never_panic() {
                 assert!(e.line >= 1 && e.line <= lines, "{e}");
             }
             if let Err(e) = JournalSnapshot::parse(&text) {
+                assert!(e.line >= 1 && e.line <= lines, "{e}");
+            }
+            if let Err(e) = TraceTree::parse(&text) {
                 assert!(e.line >= 1 && e.line <= lines, "{e}");
             }
         }
@@ -180,4 +225,24 @@ fn huge_claims_do_not_inflate_allocation() {
     let j = format!("# snn-journal v1\nmeta total={max} dropped={max}\nevent x - {max}\n");
     let parsed = JournalSnapshot::parse(&j).expect("extreme journal parses");
     assert_eq!(parsed.events.len(), 1, "one line, one event");
+}
+
+/// One parse rule for every record line: a field key that fails
+/// `valid_name` is refused on a `span`, an `event` and a `node` line
+/// alike, at the line that carries it.
+#[test]
+fn every_record_line_refuses_an_invalid_field_key() {
+    for pair in ["=v", "b@d=1", "has space=1"] {
+        let expo = format!("# snn-obs v1\nspan x - 1 2 {pair}\n");
+        let journal = format!("# snn-journal v1\nevent x - 1 {pair}\n");
+        let trace = format!("# snn-trace v1\ntrace rid=r-1\nnode 0 a b - 1 2 {pair}\n");
+        let lines = [
+            Snapshot::parse(&expo).map(drop).map_err(|e| e.line),
+            JournalSnapshot::parse(&journal)
+                .map(drop)
+                .map_err(|e| e.line),
+            TraceTree::parse(&trace).map(drop).map_err(|e| e.line),
+        ];
+        assert_eq!(lines, [Err(2), Err(2), Err(3)], "field {pair:?}");
+    }
 }

@@ -135,6 +135,8 @@ pub struct ServeClient {
     transport: Transport,
     /// Negotiated protocol generation.
     proto: u32,
+    /// The server's `hello` banner: its capability fields.
+    banner: Response,
     /// Line-transport byte counters (the mux transport keeps its own).
     line_tx: u64,
     line_rx: u64,
@@ -167,18 +169,6 @@ impl ServeClient {
         let stream = TcpStream::connect(addr).map_err(ClientError::Io)?;
         stream.set_nodelay(true).ok();
         Self::negotiate(stream, proto, None)
-    }
-
-    /// Connects without the version handshake (for peers known to skip
-    /// `hello`, e.g. pre-versioning tooling). Always the line transport.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn connect_unchecked(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        Self::from_stream(stream)
     }
 
     /// Connects with bounded connect/read/write times (the timeouts
@@ -222,18 +212,6 @@ impl ServeClient {
         Self::negotiate(stream, proto, Some(timeout))
     }
 
-    fn from_stream(stream: TcpStream) -> io::Result<Self> {
-        Ok(ServeClient {
-            transport: Transport::Line {
-                reader: BufReader::new(stream.try_clone()?),
-                writer: stream,
-            },
-            proto: PROTO_VERSION,
-            line_tx: 0,
-            line_rx: 0,
-        })
-    }
-
     /// Line-based `hello`, then — when `proto` is [`PROTO_V2`] and the
     /// server agreed — the transport upgrade. Nothing rides the socket
     /// between the banner and the first frame, so no buffered bytes can
@@ -243,45 +221,39 @@ impl ServeClient {
         proto: u32,
         timeout: Option<std::time::Duration>,
     ) -> ClientResult<Self> {
-        let mut client = Self::from_stream(stream).map_err(ClientError::Io)?;
-        client.hello_as(proto)?;
-        client.proto = proto;
+        let mut client = ServeClient {
+            transport: Transport::Line {
+                reader: BufReader::new(stream.try_clone()?),
+                writer: stream,
+            },
+            proto,
+            banner: Response::Ok(Vec::new()),
+            line_tx: 0,
+            line_rx: 0,
+        };
+        client.banner = client.hello_as(proto)?;
         if proto >= PROTO_V2 {
-            let (tx, rx) = (client.line_tx, client.line_rx);
             if let Transport::Line { writer, .. } = client.transport {
                 let mux = MuxClient::new(writer, timeout).map_err(ClientError::Io)?;
                 client = ServeClient {
                     transport: Transport::Mux(mux),
-                    proto,
-                    line_tx: tx,
-                    line_rx: rx,
+                    ..client
                 };
             }
         }
         Ok(client)
     }
 
-    /// Bounds every later read and write on this connection (`None`
-    /// blocks forever, the default). On a proto 2 connection this bounds
-    /// each call's wait for its tagged response.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn set_io_timeout(&mut self, timeout: Option<std::time::Duration>) -> ClientResult<()> {
-        match &mut self.transport {
-            Transport::Line { writer, .. } => {
-                writer.set_read_timeout(timeout).map_err(ClientError::Io)?;
-                writer.set_write_timeout(timeout).map_err(ClientError::Io)?;
-            }
-            Transport::Mux(mux) => mux.set_reply_timeout(timeout),
-        }
-        Ok(())
-    }
-
     /// The negotiated protocol generation.
     pub fn proto(&self) -> u32 {
         self.proto
+    }
+
+    /// The server's banner from the last `hello` on this connection —
+    /// its capability fields (`evict=`, `shadow=`, `journal=`, …), so a
+    /// caller reads them without a second handshake.
+    pub fn banner(&self) -> &Response {
+        &self.banner
     }
 
     /// The underlying multiplexed connection, when proto 2 was
@@ -319,16 +291,17 @@ impl ServeClient {
     /// Fails as [`ServeClient::call`] does, plus on a missing or
     /// non-matching `proto` banner field.
     pub fn hello(&mut self) -> ClientResult<u32> {
-        self.hello_as(PROTO_VERSION)
+        self.banner = self.hello_as(PROTO_VERSION)?;
+        Ok(PROTO_VERSION)
     }
 
-    fn hello_as(&mut self, proto: u32) -> ClientResult<u32> {
+    /// One `hello proto=…` exchange, returning the banner.
+    fn hello_as(&mut self, proto: u32) -> ClientResult<Response> {
         let resp = self.call(&Request::Hello { proto })?;
-        let got: u32 = field(&resp, "proto")?;
-        if got != proto {
+        if field::<u32>(&resp, "proto")? != proto {
             return Err(ClientError::Malformed("proto"));
         }
-        Ok(got)
+        Ok(resp)
     }
 
     /// Sends one request and reads the matching response line.
@@ -658,20 +631,6 @@ impl ServeClient {
             seq,
         })
         .map(|_| ())
-    }
-
-    /// Fetches the shadow checkpoint stored for `id`, returning its
-    /// stream position and blob. Absent shadows arrive as code
-    /// `unknown-session`.
-    ///
-    /// # Errors
-    ///
-    /// Fails as [`ServeClient::call`] does.
-    pub fn shadow_fetch(&mut self, id: &str) -> ClientResult<(u64, Vec<u8>)> {
-        let resp = self.call(&Request::ShadowGet { id: id.to_string() })?;
-        let seq = field(&resp, "seq")?;
-        let bytes = hex_decode(resp.get("data").ok_or(ClientError::Malformed("data"))?)?;
-        Ok((seq, bytes))
     }
 
     /// Evicts a session: the server checkpoints its full state to disk,

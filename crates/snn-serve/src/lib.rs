@@ -302,8 +302,8 @@ mod tests {
 
     #[test]
     fn probe_and_scrape_traffic_never_evicts_request_spans() {
-        // A router's health loop sends every shard a `ping` and a
-        // `journal` per interval. Were those spans, a ring's worth of
+        // A router's health sweep sends every shard a `ping`, a
+        // `journal` and a `stats` per interval. Were those spans, a ring's worth of
         // probes would evict the request spans a trace is built from.
         for proto in [PROTO_VERSION, PROTO_V2] {
             let server = start_server(ServeLimits::default());

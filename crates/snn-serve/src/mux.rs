@@ -354,7 +354,7 @@ pub struct MuxClient {
     /// Deadline applied to each call's response wait (the socket itself
     /// carries no read timeout — the reader thread must block
     /// indefinitely between frames on an idle connection).
-    reply_timeout: Mutex<Option<Duration>>,
+    reply_timeout: Option<Duration>,
 }
 
 impl MuxClient {
@@ -381,7 +381,7 @@ impl MuxClient {
             dead: Arc::clone(&dead),
             tx_bytes: AtomicU64::new(0),
             rx_bytes: Arc::clone(&rx_bytes),
-            reply_timeout: Mutex::new(reply_timeout),
+            reply_timeout,
         });
         // The reader holds only the shared maps, never the Arc<MuxClient>
         // itself — otherwise Drop (which closes the socket to unblock
@@ -419,12 +419,6 @@ impl MuxClient {
         self.dead.load(Ordering::SeqCst)
     }
 
-    /// Re-bounds every later call's response wait (`None` blocks
-    /// forever).
-    pub fn set_reply_timeout(&self, timeout: Option<Duration>) {
-        *self.reply_timeout.lock().expect("timeout lock") = timeout;
-    }
-
     /// Total bytes written to / read from the socket, frame overhead
     /// included.
     pub fn wire_bytes(&self) -> (u64, u64) {
@@ -455,8 +449,7 @@ impl MuxClient {
     }
 
     fn recv(&self, rx: &mpsc::Receiver<Frame>, tag: u32) -> io::Result<Frame> {
-        let timeout = *self.reply_timeout.lock().expect("timeout lock");
-        let frame = match timeout {
+        let frame = match self.reply_timeout {
             Some(t) => rx.recv_timeout(t).map_err(|e| match e {
                 mpsc::RecvTimeoutError::Timeout => {
                     // Retire the tag so a late response is not

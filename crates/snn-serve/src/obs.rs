@@ -43,9 +43,9 @@ const VERBS: &[&str] = &[
 
 /// Control verbs: health probes, scrapes and trace reads. They keep
 /// their latency histograms, exemplars and counters but record no ring
-/// span: a router's health loop alone sends every shard a `ping` and a
-/// `journal` per interval, enough to evict the request spans a trace is
-/// assembled from.
+/// span: a router's health sweep alone sends every shard a `ping`, a
+/// `journal` and a `stats` per interval, enough to evict the request
+/// spans a trace is assembled from.
 const CONTROL_VERBS: &[&str] = &["ping", "stats", "metrics", "journal", "trace"];
 
 /// The verb a wire request's ring spans are named after (`serve.<verb>`),
@@ -144,11 +144,6 @@ pub(crate) struct ServeObs {
     wire_tx: [Arc<Counter>; 2],
     verb_us: HashMap<&'static str, Arc<Histogram>>,
     other_us: Arc<Histogram>,
-    /// `serve.proto.p{1,2}.<verb>_us` — per-protocol verb latency, so a
-    /// proto rollout's effect is visible per verb without a redeploy.
-    proto_verb_us: [HashMap<&'static str, Arc<Histogram>>; 2],
-    /// See [`ServeObs::proto_verb_us`] (the hostile-verb bucket).
-    proto_other_us: [Arc<Histogram>; 2],
     /// Subscription sequence: each subscriber (proto 1 stream or proto 2
     /// push tag) gets the next number, labelling its drop counter.
     sub_seq: AtomicU64,
@@ -174,14 +169,6 @@ impl ServeObs {
             .iter()
             .map(|&v| (v, registry.histogram(&format!("serve.req.{v}_us"))))
             .collect();
-        let proto_verb_us = [1u32, 2].map(|p| {
-            VERBS
-                .iter()
-                .map(|&v| (v, registry.histogram(&format!("serve.proto.p{p}.{v}_us"))))
-                .collect()
-        });
-        let proto_other_us =
-            [1u32, 2].map(|p| registry.histogram(&format!("serve.proto.p{p}.other_us")));
         let wire_rx = [1u32, 2].map(|p| registry.counter(&format!("serve.wire.p{p}.rx_bytes")));
         let wire_tx = [1u32, 2].map(|p| registry.counter(&format!("serve.wire.p{p}.tx_bytes")));
         ServeObs {
@@ -212,8 +199,6 @@ impl ServeObs {
             verb_us,
             wire_rx,
             wire_tx,
-            proto_verb_us,
-            proto_other_us,
             sub_seq: AtomicU64::new(0),
             phase_notes: std::sync::Mutex::new(HashMap::new()),
             registry,
@@ -277,24 +262,10 @@ impl ServeObs {
         self.verb_us.get(verb).unwrap_or(&self.other_us)
     }
 
-    /// Index into the fixed per-protocol metric arrays: everything at or
-    /// above proto 2 shares the binary-framing bucket.
-    fn proto_idx(proto: u32) -> usize {
-        usize::from(proto >= 2)
-    }
-
-    /// The per-protocol latency histogram for `verb` (with the same
-    /// hostile-verb collapse rule as [`ServeObs::verb_hist`]).
-    pub(crate) fn proto_verb_hist(&self, proto: u32, verb: &str) -> &Arc<Histogram> {
-        let i = Self::proto_idx(proto);
-        self.proto_verb_us[i]
-            .get(verb)
-            .unwrap_or(&self.proto_other_us[i])
-    }
-
-    /// Counts frame-level bytes on the wire for one protocol generation.
+    /// Counts frame-level bytes on the wire for one protocol generation
+    /// (everything at or above proto 2 shares the binary-framing pair).
     pub(crate) fn count_wire(&self, proto: u32, rx_bytes: u64, tx_bytes: u64) {
-        let i = Self::proto_idx(proto);
+        let i = usize::from(proto >= 2);
         self.wire_rx[i].add(rx_bytes);
         self.wire_tx[i].add(tx_bytes);
     }

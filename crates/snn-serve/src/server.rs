@@ -247,7 +247,6 @@ impl MuxHost for ServeHost {
         let dur = t0.elapsed();
         let verb = line.split_whitespace().next().unwrap_or("");
         obs.record_request(verb, dur, &rid);
-        obs.proto_verb_hist(proto, verb).record_duration(dur);
         let traced = span_verb(verb);
         if let Some(v) = traced {
             request_span(obs, v, &rid, dur, carried);

@@ -237,11 +237,11 @@ fn shard_killed_under_load_loses_nothing_and_explains_itself() {
     let journal = JournalSnapshot::parse(&scrape_text(&mut client, "cluster-journal"))
         .expect("journal parses");
     assert!(
-        journal.events.iter().any(|e| e.kind == "cluster.failover"),
+        journal.events.iter().any(|e| e.name == "cluster.failover"),
         "the post-mortem records the failovers"
     );
     for (kind, key) in [("cluster.failover", "seq"), ("serve.restore", "samples")] {
-        for e in journal.events.iter().filter(|e| e.kind == kind) {
+        for e in journal.events.iter().filter(|e| e.name == kind) {
             let value = e.field(key).and_then(|v| v.parse::<u64>().ok());
             assert!(
                 value.is_some_and(|v| v >= HALFWAY),
@@ -256,7 +256,7 @@ fn shard_killed_under_load_loses_nothing_and_explains_itself() {
     let down = journal
         .events
         .iter()
-        .find(|e| e.kind == "cluster.shard_down" && e.field("shard") == Some(&victim.to_string()))
+        .find(|e| e.name == "cluster.shard_down" && e.field("shard") == Some(&victim.to_string()))
         .expect("the post-mortem records the victim's death");
     let tree = client.cluster_trace(&down.rid).expect("incident trace");
     assert_eq!(tree.rid, down.rid, "the tree is the incident's");

@@ -174,7 +174,7 @@ fn subscribed_journaled_slo_watched_session_is_still_bit_identical() {
     assert_eq!(
         journaled
             .iter()
-            .filter(|e| e.kind == "serve.open" && e.field("id") == Some("triple"))
+            .filter(|e| e.name == "serve.open" && e.field("id") == Some("triple"))
             .count(),
         1,
         "the open event streams once across all frame deltas"

@@ -101,7 +101,7 @@ fn postmortem_journal_tail_explains_the_failover_by_rid() {
     let down = journal
         .events
         .iter()
-        .find(|e| e.kind == "cluster.shard_down" && e.field("shard") == Some(&victim.to_string()))
+        .find(|e| e.name == "cluster.shard_down" && e.field("shard") == Some(&victim.to_string()))
         .expect("merged journal records the shard death");
     let incident = down.rid.clone();
     assert!(!incident.is_empty(), "shard death is rid-attributed");
@@ -111,14 +111,14 @@ fn postmortem_journal_tail_explains_the_failover_by_rid() {
     let strikes: Vec<_> = journal
         .events
         .iter()
-        .filter(|e| e.kind == "cluster.probe_fail" && e.rid == incident)
+        .filter(|e| e.name == "cluster.probe_fail" && e.rid == incident)
         .collect();
     assert!(
         strikes.len() >= 2,
         "both strikes of the 2-probe verdict share the incident rid: {strikes:?}"
     );
     assert!(
-        strikes.iter().all(|e| e.at_us <= down.at_us),
+        strikes.iter().all(|e| e.start_us <= down.start_us),
         "strikes precede the verdict"
     );
 
@@ -127,7 +127,7 @@ fn postmortem_journal_tail_explains_the_failover_by_rid() {
     let failovers: Vec<_> = journal
         .events
         .iter()
-        .filter(|e| e.kind == "cluster.failover" && e.field("cause") == Some(&incident))
+        .filter(|e| e.name == "cluster.failover" && e.field("cause") == Some(&incident))
         .collect();
     assert_eq!(
         failovers.len(),
@@ -135,14 +135,14 @@ fn postmortem_journal_tail_explains_the_failover_by_rid() {
         "one failover per victim session, each citing the incident"
     );
     for fo in &failovers {
-        assert!(fo.at_us >= down.at_us, "failovers follow the verdict");
+        assert!(fo.start_us >= down.start_us, "failovers follow the verdict");
         assert!(!fo.rid.is_empty() && fo.rid != incident);
         let id = fo.field("id").expect("failover names its session");
         assert!(
             journal
                 .events
                 .iter()
-                .any(|e| e.kind == "serve.restore" && e.rid == fo.rid && e.field("id") == Some(id)),
+                .any(|e| e.name == "serve.restore" && e.rid == fo.rid && e.field("id") == Some(id)),
             "restore of {id} stitches to failover rid {}",
             fo.rid
         );
@@ -154,7 +154,7 @@ fn postmortem_journal_tail_explains_the_failover_by_rid() {
     let pm0_restores = journal
         .events
         .iter()
-        .filter(|e| e.kind == "serve.restore" && e.field("id") == Some("pm-0"))
+        .filter(|e| e.name == "serve.restore" && e.field("id") == Some("pm-0"))
         .count();
     assert!(
         pm0_restores >= 2,

@@ -3,9 +3,11 @@
 //! `cluster-metrics`, `cluster-journal`, `cluster-trace`, `cluster-stats`
 //! — contacts each live shard on its own thread under `scrape_timeout`,
 //! reports the shards it could not scrape, and ticks their
-//! `cluster.scrape_fail.s<id>` counters.
+//! `cluster.scrape_fail.s<id>` counters. The health sweep runs through
+//! the same fan-out, so a wedged shard is declared dead within its probe
+//! deadlines, never after the data plane's `io_timeout` (`DESIGN.md` §9).
 
-use std::io;
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -23,9 +25,12 @@ const SCRAPE_TIMEOUT: Duration = Duration::from_millis(500);
 /// life, so the relay connection the router opens at attach keeps
 /// working; connections accepted after it are held open and never
 /// answered — a shard that is connected but stalled.
+/// [`Forwarder::wedge`] also freezes the connections already piped: a
+/// shard that accepts connections but never answers anything.
 struct Forwarder {
     addr: SocketAddr,
     stalled: Arc<AtomicBool>,
+    wedged: Arc<AtomicBool>,
 }
 
 impl Forwarder {
@@ -33,7 +38,8 @@ impl Forwarder {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind forwarder");
         let addr = listener.local_addr().expect("forwarder address");
         let stalled = Arc::new(AtomicBool::new(false));
-        let stall = Arc::clone(&stalled);
+        let wedged = Arc::new(AtomicBool::new(false));
+        let (stall, wedge) = (Arc::clone(&stalled), Arc::clone(&wedged));
         std::thread::spawn(move || {
             let mut held = Vec::new();
             for client in listener.incoming() {
@@ -48,22 +54,41 @@ impl Forwarder {
                 pipe(
                     client.try_clone().expect("clone"),
                     shard.try_clone().expect("clone"),
+                    Arc::clone(&wedge),
                 );
-                pipe(shard, client);
+                pipe(shard, client, Arc::clone(&wedge));
             }
         });
-        Forwarder { addr, stalled }
+        Forwarder {
+            addr,
+            stalled,
+            wedged,
+        }
     }
 
     fn stall(&self) {
         self.stalled.store(true, Ordering::SeqCst);
     }
+
+    fn wedge(&self) {
+        self.stall();
+        self.wedged.store(true, Ordering::SeqCst);
+    }
 }
 
-/// Copies `from` into `to` on its own thread until `from` closes.
-fn pipe(mut from: TcpStream, mut to: TcpStream) {
+/// Copies `from` into `to` on its own thread until `from` closes. Once
+/// `wedged` is set, bytes stop moving while both sockets stay open.
+fn pipe(mut from: TcpStream, mut to: TcpStream, wedged: Arc<AtomicBool>) {
     std::thread::spawn(move || {
-        let _ = io::copy(&mut from, &mut to);
+        let mut buf = [0u8; 16 * 1024];
+        while let Ok(n @ 1..) = from.read(&mut buf) {
+            while wedged.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            if to.write_all(&buf[..n]).is_err() {
+                break;
+            }
+        }
         let _ = to.shutdown(Shutdown::Write);
     });
 }
@@ -177,4 +202,51 @@ fn stalled_shards_cost_each_cluster_wide_verb_one_scrape_deadline() {
     for server in servers {
         server.shutdown();
     }
+}
+
+#[test]
+fn a_wedged_shard_is_declared_dead_within_its_probe_deadlines() {
+    let cluster = Cluster::start(
+        "127.0.0.1:0",
+        ClusterConfig {
+            limits: ClusterLimits {
+                health_interval: Duration::from_millis(40),
+                probes_to_kill: 2,
+                scrape_timeout: SCRAPE_TIMEOUT,
+                // Shadowing off and the default 30 s `io_timeout`: a
+                // data-plane call to the wedged shard would wait that out.
+                shadow_interval: None,
+                ..ClusterLimits::default()
+            },
+        },
+    )
+    .expect("cluster");
+    let server = SnnServer::start("127.0.0.1:0", ServerConfig::default()).expect("shard");
+    let forwarder = Forwarder::start(server.local_addr());
+    let wedged = cluster.attach_shard(forwarder.addr).expect("attach");
+
+    // One idle session routed to the shard: no client request holds its
+    // route lock, so whatever waits on the shard is the health thread.
+    let mut client = ServeClient::connect(cluster.local_addr()).expect("client");
+    client.open("w", tiny_spec(1)).expect("open");
+    assert_eq!(cluster.session_shard("w"), Some(wedged));
+
+    forwarder.wedge();
+    let t0 = Instant::now();
+    while cluster.session_shard("w").is_some() {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "the wedged shard still holds its route after {:?}",
+            t0.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let stats = cluster.stats();
+    assert!(
+        !stats.shards[0].alive,
+        "the wedged shard is dead: {stats:?}"
+    );
+
+    cluster.shutdown();
+    server.shutdown();
 }

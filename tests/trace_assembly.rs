@@ -199,7 +199,7 @@ fn trace_assembly_survives_a_shard_kill_via_the_black_box_journal() {
     let down = journal
         .events
         .iter()
-        .find(|e| e.kind == "cluster.shard_down" && e.field("shard") == Some(&victim.to_string()))
+        .find(|e| e.name == "cluster.shard_down" && e.field("shard") == Some(&victim.to_string()))
         .expect("the journal records the victim's death");
     let incident = client.cluster_trace(&down.rid).expect("incident trace");
     assert_eq!(incident.rid, down.rid);
