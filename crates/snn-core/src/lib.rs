@@ -8,7 +8,8 @@
 //! * [`neuron`] — Leaky Integrate-and-Fire neurons with conductance-based
 //!   synaptic input and an optional adaptive threshold (homeostasis), plus
 //!   the simpler non-leaky IF model for comparison.
-//! * [`synapse`] — dense weight matrices and conductance bookkeeping.
+//! * [`synapse`] — dense weight matrices: the row-major one training writes
+//!   and the read-only input-major copy inference reads.
 //! * [`encoding`] — spike encoders: Poisson rate coding (used by the paper)
 //!   and the other schemes its background section cites (time-to-first-spike,
 //!   rank-order, phase, burst).

@@ -20,6 +20,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::SnnResult;
 use crate::neuron::{AdaptiveThreshold, LifLayer, LifParams};
 use crate::ops::OpCounts;
+use crate::sim::Weights;
 use crate::stdp::{TraceParams, TraceSet};
 use crate::synapse::WeightMatrix;
 
@@ -186,7 +187,8 @@ pub struct Snn {
 /// excitatory layer's adaptation potentials `θ`) and the synaptic traces.
 ///
 /// Inference only reads the weights, so any number of these can run
-/// against one shared [`WeightMatrix`] through [`crate::sim::infer_sample`].
+/// against one shared [`crate::synapse::InputMajor`] copy through
+/// [`crate::sim::infer_sample`].
 /// A state is built from the network it will serve and keeps that
 /// network's layer parameters and inhibition wiring.
 #[derive(Debug, Clone)]
@@ -237,7 +239,7 @@ impl Dynamics<'_> {
     /// See [`Snn::deliver_input_spikes`].
     pub(crate) fn deliver_input_spikes(
         &mut self,
-        weights: &WeightMatrix,
+        weights: &Weights<'_>,
         spikes: &[u32],
         ops: &mut OpCounts,
     ) {
@@ -420,7 +422,7 @@ impl Snn {
     /// Panics if any channel index is out of range.
     pub fn deliver_input_spikes(&mut self, spikes: &[u32], ops: &mut OpCounts) {
         let (weights, mut state) = self.split();
-        state.deliver_input_spikes(weights, spikes, ops);
+        state.deliver_input_spikes(&Weights::Read(weights), spikes, ops);
     }
 
     /// Advances all populations by one timestep and routes competition.

@@ -270,7 +270,8 @@ impl LifLayer {
 
     /// Mutable view of the excitatory conductances, for sparse delivery
     /// kernels that accumulate many presynaptic events per neuron in one
-    /// pass (see [`crate::synapse::WeightMatrix::gather_active_into`]).
+    /// pass (see [`crate::synapse::WeightMatrix::gather_active_into`] and
+    /// [`crate::synapse::InputMajor::gather_active_into`]).
     #[inline]
     pub fn exc_conductances_mut(&mut self) -> &mut [f32] {
         &mut self.ge

@@ -6,8 +6,8 @@
 //! in the reproduction goes through — baseline, ASP and SpikeDyn differ
 //! only in the plasticity object and the network's inhibition wiring, so
 //! energy comparisons are apples-to-apples. [`infer_sample`] runs the same
-//! loop for inference: it reads a shared [`WeightMatrix`] and writes only a
-//! per-sample [`NeuronState`].
+//! loop for inference: it reads a shared input-major copy of the weights
+//! ([`InputMajor`]) and writes only a per-sample [`NeuronState`].
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -17,7 +17,7 @@ use crate::encoding::PoissonEncoder;
 use crate::network::{Dynamics, NeuronState, Snn};
 use crate::ops::OpCounts;
 use crate::stdp::TraceSet;
-use crate::synapse::WeightMatrix;
+use crate::synapse::{InputMajor, WeightMatrix};
 
 /// Everything a learning rule may touch during one simulation step.
 ///
@@ -130,17 +130,30 @@ impl SampleResult {
 }
 
 /// The weights a presentation reads, and whether it may learn: inference
-/// borrows them shared; training lends them, with the rule, to its hooks.
-enum Weights<'a> {
+/// borrows them shared, row-major from a network or as an input-major
+/// copy; training lends them, with the rule, to its hooks.
+pub(crate) enum Weights<'a> {
     Read(&'a WeightMatrix),
+    FanOut(&'a InputMajor),
     Learn(&'a mut WeightMatrix, &'a mut dyn Plasticity),
 }
 
 impl Weights<'_> {
-    fn matrix(&self) -> &WeightMatrix {
+    fn n_pre(&self) -> usize {
         match self {
-            Weights::Read(weights) => weights,
-            Weights::Learn(weights, _) => weights,
+            Weights::Read(weights) => weights.n_pre(),
+            Weights::FanOut(weights) => weights.n_pre(),
+            Weights::Learn(weights, _) => weights.n_pre(),
+        }
+    }
+
+    /// Adds the weights of the inputs in `active_pre` into `acc`, in the
+    /// same per-slot order whichever layout holds them.
+    pub(crate) fn gather_active_into(&self, active_pre: &[u32], acc: &mut [f32]) {
+        match self {
+            Weights::Read(weights) => weights.gather_active_into(active_pre, acc),
+            Weights::FanOut(weights) => weights.gather_active_into(active_pre, acc),
+            Weights::Learn(weights, _) => weights.gather_active_into(active_pre, acc),
         }
     }
 
@@ -221,17 +234,21 @@ pub fn run_sample<R: Rng + ?Sized>(
 /// Presents one rate-coded sample for inference: the [`run_sample`] loop
 /// without plasticity, reading `weights` and writing only `state`.
 ///
-/// Results, op counts and the final `state` are bit-identical to
-/// `run_sample` with no plasticity on a network holding `weights` and
-/// `state`'s populations and traces. Because the weights are only read,
-/// any number of states can share one matrix across threads.
+/// Each step adds every spiking input's contiguous fan-out row into the
+/// conductances, in spike-list order. That is, per neuron, the order in
+/// which `run_sample`'s row-major gather adds the same weights, so
+/// results, op counts and the final `state` are bit-identical to
+/// `run_sample` with no plasticity on a network whose weights `weights`
+/// copies and which holds `state`'s populations and traces. Because the
+/// weights are only read, any number of states can share one copy across
+/// threads.
 ///
 /// # Panics
 ///
 /// Panics if `state` was built for a network of another shape than
 /// `weights`, or if `rates_hz.len()` differs from the input size.
 pub fn infer_sample<R: Rng + ?Sized>(
-    weights: &WeightMatrix,
+    weights: &InputMajor,
     state: &mut NeuronState,
     rates_hz: &[f32],
     cfg: &PresentConfig,
@@ -243,7 +260,7 @@ pub fn infer_sample<R: Rng + ?Sized>(
         "neuron state must match the weight matrix's shape"
     );
     present(
-        Weights::Read(weights),
+        Weights::FanOut(weights),
         state.dynamics(),
         rates_hz,
         cfg,
@@ -261,7 +278,7 @@ fn present<R: Rng + ?Sized>(
     rng: &mut R,
     ops: &mut OpCounts,
 ) -> SampleResult {
-    let n_input = weights.matrix().n_pre();
+    let n_input = weights.n_pre();
     let n_exc = state.exc.len();
     assert_eq!(
         rates_hz.len(),
@@ -288,7 +305,7 @@ fn present<R: Rng + ?Sized>(
         weights.begin_sample(n_exc, n_input);
         for step in 0..present_steps {
             PoissonEncoder::sample_step(&boosted, cfg.dt_ms, rng, &mut spike_buf, ops);
-            state.deliver_input_spikes(weights.matrix(), &spike_buf, ops);
+            state.deliver_input_spikes(&weights, &spike_buf, ops);
             if !spike_buf.is_empty() {
                 // Batched equivalents: one weight-column gather/add kernel
                 // and one pre-trace update kernel per step with input spikes.
@@ -566,6 +583,7 @@ mod tests {
             *theta = 0.5 * (j + 1) as f32;
         }
         let weights = reference.weights.clone();
+        let inputs = InputMajor::new(&weights);
         let mut state = NeuronState::new(&reference);
         let (mut spiked, mut retried) = (false, false);
         for (i, base_hz) in [5.0_f32, 60.0, 200.0].into_iter().enumerate() {
@@ -584,7 +602,7 @@ mod tests {
             );
             let mut ops = OpCounts::default();
             let got = infer_sample(
-                &reference.weights,
+                &inputs,
                 &mut state,
                 &rates,
                 present,
@@ -658,7 +676,7 @@ mod tests {
         let other = Snn::new(SnnConfig::direct_lateral(16, 5), &mut seeded_rng(33));
         let mut state = NeuronState::new(&other);
         let _ = infer_sample(
-            &net.weights,
+            &InputMajor::new(&net.weights),
             &mut state,
             &[0.0; 16],
             &PresentConfig::fast(),

@@ -5,6 +5,11 @@
 //! weights of postsynaptic neuron `j`. Row-major-by-post keeps the hot
 //! learning-rule operations (per-winner potentiation, per-row normalisation,
 //! whole-matrix decay) contiguous.
+//!
+//! Inference reads a second layout, [`InputMajor`]: row `k` holds the
+//! weights input `k` drives, so each input spike adds one contiguous row
+//! into the conductances. It is a read-only copy, filled from row-major
+//! weights.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -172,16 +177,19 @@ impl WeightMatrix {
     /// neuron, accumulates the weights of the *active* presynaptic channels
     /// into `acc` (one slot per postsynaptic neuron).
     ///
-    /// This is the shared hot path of the scalar and batched simulation
-    /// engines. Compared with delivering one presynaptic spike at a time
+    /// This is the training path's delivery kernel: [`crate::sim::run_sample`]
+    /// presents samples against the row-major matrix its plasticity rule
+    /// writes. Compared with delivering one presynaptic spike at a time
     /// (a strided column walk per spike), it visits each contiguous
     /// postsynaptic row once and gathers all active columns from it — the
     /// row fits in L1, so the pass is bounded by one sequential sweep of
-    /// the matrix instead of `spikes × n_post` cache misses.
+    /// the matrix instead of `spikes × n_post` cache misses. Inference
+    /// ([`crate::sim::infer_sample`]) reads an [`InputMajor`] copy instead.
     ///
     /// Floating-point note: per accumulator slot the additions happen in
-    /// ascending-`active` order, the same order as repeated single-spike
-    /// delivery, so results are bit-identical to the event-at-a-time path.
+    /// `active` list order, the same order as repeated single-spike
+    /// delivery and as [`InputMajor::gather_active_into`], so all three
+    /// paths leave `acc` bit-identical.
     ///
     /// # Panics
     ///
@@ -225,6 +233,117 @@ impl WeightMatrix {
         }
         let n = self.data.iter().filter(|&&w| w < threshold).count();
         n as f32 / self.data.len() as f32
+    }
+}
+
+/// A read-only input-major copy of a [`WeightMatrix`]: row `k` holds the
+/// `n_post` weights that input channel `k` drives, one per postsynaptic
+/// neuron.
+///
+/// This is the fan-out layout of event-driven inference: a spike on input
+/// `k` adds one contiguous row into the excitatory conductances, so a step
+/// costs one sequential pass per spiking input, where the row-major gather
+/// walks all `n_post` rows. Training keeps the row-major matrix, whose
+/// writers work on rows; this copy is only ever filled from one, in one
+/// transposing pass.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InputMajor {
+    n_post: usize,
+    n_pre: usize,
+    data: Vec<f32>,
+}
+
+impl InputMajor {
+    /// The input-major copy of `weights`.
+    pub fn new(weights: &WeightMatrix) -> Self {
+        let mut copy = InputMajor {
+            n_post: weights.n_post,
+            n_pre: weights.n_pre,
+            data: vec![0.0; weights.len()],
+        };
+        copy.transpose_from(weights.as_slice());
+        copy
+    }
+
+    /// Refills the copy from a row-major buffer of the same shape (the
+    /// layout of [`WeightMatrix::as_slice`]) in one transposing pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnnError::DimensionMismatch`] when `rows.len()` is not
+    /// `n_post * n_pre`; the copy is left untouched.
+    pub fn fill_from_rows(&mut self, rows: &[f32]) -> SnnResult<()> {
+        if rows.len() != self.data.len() {
+            return Err(SnnError::DimensionMismatch {
+                expected: self.data.len(),
+                got: rows.len(),
+                what: "weight buffer",
+            });
+        }
+        self.transpose_from(rows);
+        Ok(())
+    }
+
+    fn transpose_from(&mut self, rows: &[f32]) {
+        let n_pre = self.n_pre;
+        for k in 0..n_pre {
+            let column = rows.iter().skip(k).step_by(n_pre);
+            for (w, &r) in self.fan_out_mut(k).iter_mut().zip(column) {
+                *w = r;
+            }
+        }
+    }
+
+    /// Number of postsynaptic neurons (the length of a row).
+    pub fn n_post(&self) -> usize {
+        self.n_post
+    }
+
+    /// Number of presynaptic channels (rows).
+    pub fn n_pre(&self) -> usize {
+        self.n_pre
+    }
+
+    /// Weight of the synapse from presynaptic `pre` to postsynaptic `post`.
+    #[inline]
+    pub fn get(&self, post: usize, pre: usize) -> f32 {
+        self.data[pre * self.n_post + post]
+    }
+
+    /// The weights input `pre` drives, one per postsynaptic neuron.
+    #[inline]
+    fn fan_out(&self, pre: usize) -> &[f32] {
+        &self.data[pre * self.n_post..(pre + 1) * self.n_post]
+    }
+
+    fn fan_out_mut(&mut self, pre: usize) -> &mut [f32] {
+        &mut self.data[pre * self.n_post..(pre + 1) * self.n_post]
+    }
+
+    /// Adds the fan-out row of every input in `active_pre` into `acc` (one
+    /// slot per postsynaptic neuron), in list order.
+    ///
+    /// Each slot receives its additions in `active_pre` order, the order
+    /// in which [`WeightMatrix::gather_active_into`] adds them, so `acc`
+    /// ends bit-identical to the row-major gather over the same weights.
+    /// A row is a run of independent per-slot additions, which vectorises
+    /// without reordering any one slot's sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc.len() != n_post` or any channel index is out of
+    /// range.
+    pub fn gather_active_into(&self, active_pre: &[u32], acc: &mut [f32]) {
+        assert_eq!(
+            acc.len(),
+            self.n_post,
+            "accumulator must have one slot per postsynaptic neuron"
+        );
+        for &k in active_pre {
+            for (slot, &w) in acc.iter_mut().zip(self.fan_out(k as usize)) {
+                *slot += w;
+            }
+        }
     }
 }
 
@@ -342,6 +461,82 @@ mod tests {
         let m = WeightMatrix::constant(3, 4, 0.5, 1.0);
         let mut acc = vec![0.0f32; 2];
         m.gather_active_into(&[0], &mut acc);
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn input_major_gather_matches_row_major_bitwise() {
+        let mut rng = seeded_rng(21);
+        let mut shapes = vec![(1, 1), (1, 9), (6, 1), (7, 13), (13, 196), (100, 196)];
+        shapes.extend((0..60).map(|_| (rng.gen_range(1..40usize), rng.gen_range(1..30usize))));
+        for (n_post, n_pre) in shapes {
+            let rows = WeightMatrix::random_uniform(n_post, n_pre, 1.0, 1.0, &mut rng);
+            let inputs = InputMajor::new(&rows);
+            let start: Vec<f32> = (0..n_post).map(|_| rng.gen::<f32>() * 4.0).collect();
+            let unsorted_with_repeats: Vec<u32> = (0..2 * n_pre)
+                .map(|_| rng.gen_range(0..n_pre as u32))
+                .collect();
+            let lists = [
+                vec![],
+                vec![rng.gen_range(0..n_pre as u32)],
+                (0..n_pre as u32).collect(),
+                (0..n_pre as u32).rev().collect(),
+                unsorted_with_repeats,
+            ];
+            for active in &lists {
+                let mut expect = start.clone();
+                rows.gather_active_into(active, &mut expect);
+                let mut got = start.clone();
+                inputs.gather_active_into(active, &mut got);
+                assert_eq!(
+                    bits(&got),
+                    bits(&expect),
+                    "{n_post}x{n_pre}, active {active:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn input_major_fill_round_trips_every_weight() {
+        let mut rng = seeded_rng(22);
+        let first = WeightMatrix::random_uniform(7, 5, 1.0, 1.0, &mut rng);
+        let second = WeightMatrix::random_uniform(7, 5, 1.0, 1.0, &mut rng);
+        let mut inputs = InputMajor::new(&first);
+        for m in [&first, &second] {
+            inputs.fill_from_rows(m.as_slice()).unwrap();
+            assert_eq!((inputs.n_post(), inputs.n_pre()), (7, 5));
+            for j in 0..7 {
+                for k in 0..5 {
+                    assert_eq!(inputs.get(j, k).to_bits(), m.get(j, k).to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn input_major_refuses_a_buffer_of_the_wrong_length() {
+        let mut rng = seeded_rng(23);
+        let m = WeightMatrix::random_uniform(4, 6, 1.0, 1.0, &mut rng);
+        let mut inputs = InputMajor::new(&m);
+        let before = inputs.clone();
+        for len in [0, 23, 25, 48] {
+            assert!(inputs.fill_from_rows(&vec![0.5; len]).is_err(), "{len}");
+            assert_eq!(
+                inputs, before,
+                "a refused fill must leave the copy as it was"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one slot per postsynaptic neuron")]
+    fn input_major_gather_validates_accumulator_len() {
+        let inputs = InputMajor::new(&WeightMatrix::constant(3, 4, 0.5, 1.0));
+        inputs.gather_active_into(&[0], &mut [0.0; 2]);
     }
 
     #[test]

@@ -574,11 +574,11 @@ impl OnlineLearner {
     /// Hot-swaps this learner onto `snapshot` **in place**: the snapshot's
     /// full state replaces the learner's, but the serving engine is kept
     /// and adopts the new weights through
-    /// [`snn_runtime::Engine::hot_swap`] — one copy into the engine's
-    /// template, no rebuild, a warm pool of per-sample neuron state. This
-    /// is the wire-level model-swap path: a serving session receives a
-    /// snapshot between batches and continues bit-identically to a
-    /// learner resumed from that snapshot.
+    /// [`snn_runtime::Engine::hot_swap`] — one transposing pass into the
+    /// engine's weight copy, no rebuild, a warm pool of per-sample neuron
+    /// state. This is the wire-level model-swap path: a serving session
+    /// receives a snapshot between batches and continues bit-identically
+    /// to a learner resumed from that snapshot.
     ///
     /// The snapshot must carry **exactly** this learner's configuration
     /// (`snapshot.config == self.config`); changing configuration means a

@@ -23,11 +23,11 @@
 //! ## Hot model swap
 //!
 //! The learner holds one long-lived engine and adopts each new weight
-//! state through [`snn_runtime::Engine::hot_swap`] — one copy into the
-//! engine's template, which all its workers read, and the pool of
-//! per-sample neuron state stays warm. The same call serves external
-//! consumers that want to swap a deployed engine onto a freshly loaded
-//! snapshot between request batches.
+//! state through [`snn_runtime::Engine::hot_swap`] — one transposing pass
+//! into the engine's input-major weight copy, which all its workers read,
+//! and the pool of per-sample neuron state stays warm. The same call
+//! serves external consumers that want to swap a deployed engine onto a
+//! freshly loaded snapshot between request batches.
 //!
 //! ## Driving a learner externally
 //!

@@ -1,13 +1,14 @@
 //! The batched execution engine.
 //!
-//! [`Engine`] owns an immutable template network plus a [`ReplicaPool`] of
-//! per-sample neuron state and runs inference/evaluation batches
-//! sample-parallel: each worker checks out a replica, sets its `θ` from the
-//! template, simulates one whole sample through
-//! [`snn_core::sim::infer_sample`] against the template's one weight matrix
-//! (the presentation loop the trainer's `run_sample` calls, including the
-//! sparse event-driven propagation kernel) and returns the replica to the
-//! pool.
+//! [`Engine`] owns one input-major copy of the learned weights
+//! ([`InputMajor`]), a template of per-sample neuron state carrying the
+//! (scaled) adaptation potentials `θ`, and a [`ReplicaPool`] of such
+//! state, and runs inference/evaluation batches sample-parallel: each
+//! worker checks out a replica, sets its `θ` from the template, simulates
+//! one whole sample through [`snn_core::sim::infer_sample`] against the
+//! one weight copy (the presentation loop the trainer's `run_sample`
+//! calls, with each spiking input's fan-out added as one contiguous row)
+//! and returns the replica to the pool.
 //!
 //! Sample-level parallelism is the right grain for this workload: one
 //! sample is tens of thousands of sequential timesteps (hundreds of
@@ -28,6 +29,7 @@ use snn_core::network::{NeuronState, Snn, SnnConfig};
 use snn_core::ops::OpCounts;
 use snn_core::rng::{derive_seed, seeded_rng};
 use snn_core::sim::{infer_sample, SampleResult};
+use snn_core::synapse::InputMajor;
 use snn_data::Image;
 
 use crate::pool::ReplicaPool;
@@ -89,18 +91,20 @@ impl EngineConfig {
 
 /// Batched, sample-parallel inference/evaluation engine.
 ///
-/// See the crate docs for the determinism policy. The engine never mutates
-/// learned state: every worker reads the template's one weight matrix, and
-/// every replica's `θ` is overwritten from the template before each
-/// sample, so batch membership and scheduling cannot leak between samples.
+/// See the crate docs for the determinism policy. The engine holds exactly
+/// one copy of the weights, input-major, and never mutates learned state
+/// during inference: every worker reads that copy, and every replica's `θ`
+/// is overwritten from the template before each sample, so batch
+/// membership and scheduling cannot leak between samples.
 #[derive(Debug)]
 pub struct Engine {
-    template: Snn,
+    weights: InputMajor,
+    /// Replica template: the network's layers, traces and wiring, with
+    /// `θ` already scaled by `theta_scale` (what replicas run with).
+    template: NeuronState,
     present: PresentConfig,
     encoder: PoissonEncoder,
     theta_scale: f32,
-    /// Template `θ` with `theta_scale` pre-applied (what replicas run with).
-    scaled_thetas: Vec<f32>,
     pool: ReplicaPool,
     /// Cumulative work counters (relaxed atomics; metering never touches
     /// replica state or seeds, so it cannot perturb results).
@@ -133,26 +137,31 @@ impl Engine {
             config.snn.clone(),
             &mut seeded_rng(derive_seed(config.seed, 1)),
         );
-        Self::from_network(net, config.present, config.max_rate_hz, config.theta_scale)
+        Self::from_network(&net, config.present, config.max_rate_hz, config.theta_scale)
     }
 
-    /// Wraps an already-trained network (cloned into the engine's template).
+    /// Builds an engine serving an already-trained network: its weights
+    /// are transposed into the engine's input-major copy, and its layers,
+    /// traces and `θ` become the replica template.
     ///
     /// This is how the trainer hands its learned weights over for batched
     /// evaluation mid-training.
     pub fn from_network(
-        net: Snn,
+        net: &Snn,
         present: PresentConfig,
         max_rate_hz: f32,
         theta_scale: f32,
     ) -> Self {
-        let scaled_thetas = net.exc.thetas().iter().map(|t| t * theta_scale).collect();
+        let mut template = NeuronState::new(net);
+        for theta in template.exc.thetas_mut() {
+            *theta *= theta_scale;
+        }
         Engine {
-            template: net,
+            weights: InputMajor::new(&net.weights),
+            template,
             present,
             encoder: PoissonEncoder::new(max_rate_hz),
             theta_scale,
-            scaled_thetas,
             pool: ReplicaPool::new(),
             meter: EngineMeter::default(),
         }
@@ -183,56 +192,42 @@ impl Engine {
         self.meter.busy_us.fetch_add(busy, Ordering::Relaxed);
     }
 
-    /// The template network (learned weights and `θ` the engine serves).
-    pub fn network(&self) -> &Snn {
-        &self.template
-    }
-
     /// The presentation protocol used per sample.
     pub fn present(&self) -> &PresentConfig {
         &self.present
     }
 
     /// Hot-swaps the engine onto new learned state **without rebuilding**:
-    /// the weight buffer (row-major by postsynaptic neuron) and raw
-    /// adaptation potentials `θ` are copied into the existing template,
-    /// the one copy every worker reads, so the next batch runs on the new
-    /// model with zero allocations and a warm replica pool.
+    /// the weight buffer (row-major by postsynaptic neuron) is transposed
+    /// into the engine's one input-major copy, the one every worker reads,
+    /// and the adaptation potentials `θ` are scaled into the replica
+    /// template, so the next batch runs on the new model with zero
+    /// allocations and a warm replica pool.
     ///
     /// This is the serving path for model-snapshot swaps between batches:
-    /// a long-running engine adopts each new checkpoint in one O(weights)
-    /// copy. The engine's inference `θ` scale is re-applied to the new
-    /// `θ` values. Architecture (layer sizes, inhibition wiring, protocol)
-    /// cannot change through this call — build a new engine for that.
+    /// a long-running engine adopts each new checkpoint in one transposing
+    /// O(weights) pass. The engine's inference `θ` scale is re-applied to
+    /// the new `θ` values. Architecture (layer sizes, inhibition wiring,
+    /// protocol) cannot change through this call — build a new engine for
+    /// that.
     ///
     /// # Errors
     ///
     /// Returns [`snn_core::SnnError::DimensionMismatch`] when `weights` or
-    /// `thetas` do not match the template's shape; the engine state is
+    /// `thetas` do not match the engine's shape; the engine state is
     /// untouched in that case.
     pub fn hot_swap(&mut self, weights: &[f32], thetas: &[f32]) -> snn_core::SnnResult<()> {
-        if weights.len() != self.template.weights.len() {
+        if thetas.len() != self.template.exc.len() {
             return Err(snn_core::SnnError::DimensionMismatch {
-                expected: self.template.weights.len(),
-                got: weights.len(),
-                what: "hot-swap weight buffer",
-            });
-        }
-        if thetas.len() != self.template.n_exc() {
-            return Err(snn_core::SnnError::DimensionMismatch {
-                expected: self.template.n_exc(),
+                expected: self.template.exc.len(),
                 got: thetas.len(),
                 what: "hot-swap theta vector",
             });
         }
-        self.template
-            .weights
-            .as_mut_slice()
-            .copy_from_slice(weights);
-        self.template.exc.thetas_mut().copy_from_slice(thetas);
-        self.scaled_thetas.clear();
-        self.scaled_thetas
-            .extend(thetas.iter().map(|t| t * self.theta_scale));
+        self.weights.fill_from_rows(weights)?;
+        for (scaled, theta) in self.template.exc.thetas_mut().iter_mut().zip(thetas) {
+            *scaled = theta * self.theta_scale;
+        }
         Ok(())
     }
 
@@ -249,10 +244,10 @@ impl Engine {
         replica
             .exc
             .thetas_mut()
-            .copy_from_slice(&self.scaled_thetas);
+            .copy_from_slice(self.template.exc.thetas());
         let rates = self.encoder.rates_hz(image.pixels());
         infer_sample(
-            &self.template.weights,
+            &self.weights,
             replica,
             &rates,
             &self.present,
@@ -346,7 +341,7 @@ impl Engine {
     ) -> ClassAssignment {
         let responses = self.responses(images, batch_seed);
         ClassAssignment::from_responses(
-            self.template.n_exc(),
+            self.template.exc.len(),
             n_classes,
             responses
                 .iter()
@@ -387,6 +382,14 @@ mod tests {
         (0..n)
             .map(|i| gen.sample((i % 10) as u8, i).downsample(2))
             .collect()
+    }
+
+    /// The network `fast_engine(seed)` builds and serves.
+    fn fast_network(seed: u64) -> Snn {
+        Snn::new(
+            SnnConfig::direct_lateral(196, 12),
+            &mut seeded_rng(derive_seed(seed, 1)),
+        )
     }
 
     fn fast_engine(seed: u64) -> Engine {
@@ -485,15 +488,15 @@ mod tests {
         // Fresh networks have θ = 0, so scaling it must be a no-op…
         let imgs = images(4);
         let base = fast_engine(9);
-        let scaled = Engine::from_network(base.network().clone(), *base.present(), 255.0, 0.5);
+        let scaled = Engine::from_network(&fast_network(9), *base.present(), 255.0, 0.5);
         assert_eq!(base.infer_batch(&imgs, 3), scaled.infer_batch(&imgs, 3));
         // …and with a non-zero θ the scale must matter.
-        let mut net = base.network().clone();
+        let mut net = fast_network(9);
         for t in net.exc.thetas_mut() {
             *t = 10.0;
         }
-        let heavy = Engine::from_network(net.clone(), *base.present(), 255.0, 1.0);
-        let light = Engine::from_network(net, *base.present(), 255.0, 0.0);
+        let heavy = Engine::from_network(&net, *base.present(), 255.0, 1.0);
+        let light = Engine::from_network(&net, *base.present(), 255.0, 0.0);
         assert_ne!(heavy.infer_batch(&imgs, 3), light.infer_batch(&imgs, 3));
     }
 
@@ -506,7 +509,7 @@ mod tests {
         assert!(idle_before > 0);
 
         // New learned state: different weights and a non-zero θ.
-        let mut net = engine.network().clone();
+        let mut net = fast_network(12);
         for j in 0..net.n_exc() {
             for k in 0..net.n_input() {
                 net.weights.set(j, k, 0.01 * (j + k) as f32);
@@ -517,7 +520,7 @@ mod tests {
         }
 
         let reference =
-            Engine::from_network(net.clone(), *engine.present(), 255.0, 1.0).infer_batch(&imgs, 7);
+            Engine::from_network(&net, *engine.present(), 255.0, 1.0).infer_batch(&imgs, 7);
         engine
             .hot_swap(net.weights.as_slice(), net.exc.thetas())
             .unwrap();
@@ -537,8 +540,8 @@ mod tests {
     fn hot_swap_applies_theta_scale() {
         let base = fast_engine(13);
         let imgs = images(4);
-        let mut scaled = Engine::from_network(base.network().clone(), *base.present(), 255.0, 0.0);
-        let mut net = base.network().clone();
+        let mut scaled = Engine::from_network(&fast_network(13), *base.present(), 255.0, 0.0);
+        let mut net = fast_network(13);
         for t in net.exc.thetas_mut() {
             *t = 50.0;
         }
@@ -553,8 +556,9 @@ mod tests {
     #[test]
     fn hot_swap_validates_shapes() {
         let mut engine = fast_engine(14);
-        let n_exc = engine.network().n_exc();
-        let weights = engine.network().weights.as_slice().to_vec();
+        let net = fast_network(14);
+        let n_exc = net.n_exc();
+        let weights = net.weights.as_slice().to_vec();
         assert!(engine.hot_swap(&weights[..10], &vec![0.0; n_exc]).is_err());
         assert!(engine.hot_swap(&weights, &vec![0.0; n_exc + 1]).is_err());
         assert!(engine.hot_swap(&weights, &vec![0.0; n_exc]).is_ok());

@@ -6,8 +6,16 @@
 //! crate adds the first scaling multiplier on top of it: an [`Engine`] that
 //! fans a batch of samples out across worker threads with `rayon`, one
 //! whole-sample simulation per unit of work. Every worker reads the
-//! engine's one weight matrix through [`snn_core::sim::infer_sample`] and
+//! engine's one weight copy through [`snn_core::sim::infer_sample`] and
 //! writes only a pooled per-sample [`snn_core::network::NeuronState`].
+//!
+//! The engine stores that copy input-major
+//! ([`snn_core::synapse::InputMajor`]): row `k` holds the weights input
+//! `k` drives, so each step adds every spiking input's fan-out as one
+//! contiguous run. The trainer keeps the row-major matrix its plasticity
+//! rule writes; [`Engine::hot_swap`] transposes it into the engine's copy
+//! in one pass. Per neuron, both layouts add the same weights in the same
+//! order, so the engine is bit-identical to the scalar `run_sample` path.
 //!
 //! ## Determinism policy
 //!

@@ -2,14 +2,15 @@
 //!
 //! A replica is a [`NeuronState`]: the populations and traces one sample
 //! writes, never the weights, which every worker reads from the engine's
-//! one template. Building one is cheap but not free, so the engine keeps
-//! finished replicas in a pool and hands them back out on the next batch.
+//! one input-major copy. Building one is cheap but not free, so the engine
+//! keeps finished replicas in a pool and hands them back out on the next
+//! batch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use snn_core::network::{NeuronState, Snn};
+use snn_core::network::NeuronState;
 
 /// A lock-guarded stack of replicas.
 ///
@@ -57,9 +58,8 @@ impl ReplicaPool {
         Self::default()
     }
 
-    /// Takes a replica from the pool, or builds one from `template` when
-    /// empty.
-    pub fn checkout(&self, template: &Snn) -> NeuronState {
+    /// Takes a replica from the pool, or copies `template` when empty.
+    pub fn checkout(&self, template: &NeuronState) -> NeuronState {
         let t0 = Instant::now();
         let popped = self
             .replicas
@@ -67,7 +67,7 @@ impl ReplicaPool {
             .expect("replica pool lock poisoned")
             .pop();
         self.meter(t0, popped.is_some());
-        popped.unwrap_or_else(|| NeuronState::new(template))
+        popped.unwrap_or_else(|| template.clone())
     }
 
     /// Records one checkout in the pool counters. Relaxed atomics only —
@@ -112,11 +112,14 @@ impl ReplicaPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snn_core::network::SnnConfig;
+    use snn_core::network::{Snn, SnnConfig};
     use snn_core::rng::seeded_rng;
 
-    fn template() -> Snn {
-        Snn::new(SnnConfig::direct_lateral(9, 3), &mut seeded_rng(1))
+    fn template() -> NeuronState {
+        NeuronState::new(&Snn::new(
+            SnnConfig::direct_lateral(9, 3),
+            &mut seeded_rng(1),
+        ))
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   [`ServeLimits::max_jobs_per_tick`] of its jobs and hands it straight
 //!   back, so no session waits for another's work to end. Every session
 //!   owns its learner's engine, as an in-process learner does; the
-//!   engine's workers read its one weight matrix and keep only small
-//!   per-sample neuron state between batches.
+//!   engine's workers read its one input-major weight copy and keep only
+//!   small per-sample neuron state between batches.
 //! * **Durability over the wire** — `checkpoint` streams out the full
 //!   [`snn_online::ModelSnapshot`]; `restore` opens a new session from
 //!   one; `swap` hot-swaps a *running* session onto one without

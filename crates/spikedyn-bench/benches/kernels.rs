@@ -140,12 +140,13 @@ fn bench_data(c: &mut Criterion) {
 
 /// Scalar `run_sample` loop vs `Engine::infer_batch` at batch sizes
 /// 1/8/64 — the speedup the `snn-runtime` subsystem exists to deliver.
-/// Both sides run the identical per-sample work (same seeds, same
-/// presentation loop and sparse kernel); the batched side adds rayon
-/// fan-out over one shared weight matrix and pooled per-sample neuron
-/// state.
+/// Both sides run the same samples, seeds and presentation loop; the
+/// scalar side gathers from the row-major matrix, the batched side adds
+/// each spiking input's row from the engine's one input-major copy, fans
+/// samples out with rayon and pools per-sample neuron state.
 fn bench_scalar_vs_engine_batch(c: &mut Criterion) {
-    use snn_core::network::SnnConfig;
+    use snn_core::network::{Snn, SnnConfig};
+    use snn_core::rng::derive_seed;
     use snn_runtime::{Engine, EngineConfig};
 
     let gen = SyntheticDigits::new(12);
@@ -157,8 +158,9 @@ fn bench_scalar_vs_engine_batch(c: &mut Criterion) {
         retry: None,
         ..PresentConfig::fast()
     };
+    let config = SnnConfig::direct_lateral(196, 100);
     let engine = Engine::new(
-        EngineConfig::new(SnnConfig::direct_lateral(196, 100), 12)
+        EngineConfig::new(config.clone(), 12)
             .with_present(present)
             .with_max_rate(255.0),
     );
@@ -175,7 +177,7 @@ fn bench_scalar_vs_engine_batch(c: &mut Criterion) {
                 // before every sample exactly as `Trainer::infer_image`
                 // (and the engine) do, so both sides run identical
                 // per-sample dynamics.
-                let mut net = engine.network().clone();
+                let mut net = Snn::new(config.clone(), &mut seeded_rng(derive_seed(12, 1)));
                 let thetas: Vec<f32> = net.exc.thetas().to_vec();
                 let mut ops = OpCounts::default();
                 b.iter(|| {
@@ -183,7 +185,7 @@ fn bench_scalar_vs_engine_batch(c: &mut Criterion) {
                     for (i, img) in samples.iter().enumerate() {
                         net.exc.thetas_mut().copy_from_slice(&thetas);
                         let rates = PoissonEncoder::new(255.0).rates_hz(img.pixels());
-                        let mut rng = seeded_rng(snn_core::rng::derive_seed(7, i as u64));
+                        let mut rng = seeded_rng(derive_seed(7, i as u64));
                         let r = run_sample(
                             &mut net,
                             &rates,

@@ -285,14 +285,14 @@ impl Trainer {
     /// A fresh engine is built per call rather than cached: `net` is a
     /// public field that experiment harnesses replace wholesale (ablation
     /// and architecture studies), so a cached engine could silently serve
-    /// stale weights. The cost is one network clone per *batch* of
-    /// samples, amortised across the batch; long-lived callers that
-    /// control their own mutation points should hold an `Engine` directly
-    /// and refresh it with [`Engine::hot_swap`] (see
+    /// stale weights. The cost is one transposed copy of the weights per
+    /// *batch* of samples, amortised across the batch; long-lived callers
+    /// that control their own mutation points should hold an `Engine`
+    /// directly and refresh it with [`Engine::hot_swap`] (see
     /// [`Trainer::responses_with`]).
     pub fn engine(&self) -> Engine {
         Engine::from_network(
-            self.net.clone(),
+            &self.net,
             self.infer_present,
             self.encoder.max_rate_hz(),
             self.method.infer_theta_scale(),
@@ -473,10 +473,10 @@ impl Trainer {
     /// from a `rayon` worker or with one thread).
     ///
     /// Results, weights, meters and every random stream are bit-identical
-    /// to the sequential pair: inference reads only the engine's template,
-    /// hot-swapped to the pre-update weights before training starts, while
-    /// training writes only this trainer's network; each side draws from
-    /// its own seed into its own op meter.
+    /// to the sequential pair: inference reads only the engine's weight
+    /// copy, hot-swapped to the pre-update weights before training starts,
+    /// while training writes only this trainer's network; each side draws
+    /// from its own seed into its own op meter.
     ///
     /// # Errors
     ///
